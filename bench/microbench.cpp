@@ -5,9 +5,12 @@
 // PRR model lookups, and a full small-network simulation step rate.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/crc16.hpp"
 #include "core/four_bit_estimator.hpp"
 #include "mac/frame.hpp"
 #include "net/packets.hpp"
@@ -148,6 +151,72 @@ void BM_MacFrameRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MacFrameRoundTrip);
+
+/// A 40-byte data frame body (6-byte header + 34-byte payload): the FCS
+/// input every reception checks.
+std::vector<std::uint8_t> fcs_input() {
+  std::vector<std::uint8_t> bytes(40);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return bytes;
+}
+
+void BM_Crc16(benchmark::State& state) {
+  const auto bytes = fcs_input();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(crc16(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc16);
+
+/// The bit-serial CRC-16/XMODEM that crc16() replaced, kept only as the
+/// reference the table-driven version is gated against.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0x0000;
+  for (const std::uint8_t byte : data) {
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+void BM_Crc16Bitwise(benchmark::State& state) {
+  const auto bytes = fcs_input();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(crc16_bitwise(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc16Bitwise);
+
+/// The receive path's per-frame check: FCS plus in-place header parse.
+void BM_MacFrameViewDecode(benchmark::State& state) {
+  mac::MacFrame f;
+  f.type = mac::FrameType::kData;
+  f.dsn = 42;
+  f.src = NodeId{7};
+  f.dst = NodeId{9};
+  f.payload.assign(32, 0xAB);
+  const auto bytes = f.encode();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(mac::MacFrameView::decode(bytes));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MacFrameViewDecode);
 
 void BM_DataHeaderRoundTrip(benchmark::State& state) {
   net::DataHeader h;

@@ -120,9 +120,6 @@ ExperimentResult run_experiment(ExperimentConfig config) {
     sim.telemetry().set_node_filter(config.trace_nodes);
     sim.telemetry().set_sink(exporter.get());
   }
-  const std::uint64_t status_trial =
-      config.trace_trial >= 0 ? static_cast<std::uint64_t>(config.trace_trial)
-                              : 0;
   {
     // Both periodic side effects — crash-evidence flight flushes and
     // live-status registry pushes — share the simulator's single flush
@@ -135,7 +132,9 @@ ExperimentResult run_experiment(ExperimentConfig config) {
       // Periodic crash evidence: if this process dies mid-trial, the
       // coordinator recovers the sim's last flushed moments from here.
       const std::string flush_path = config.flight_flush_path;
-      const std::size_t flush_index = static_cast<std::size_t>(status_trial);
+      const std::size_t flush_index =
+          config.trace_trial >= 0 ? static_cast<std::size_t>(config.trace_trial)
+                                  : 0;
       const std::uint64_t flush_seed = config.seed;
       flush_flight = [flush_path, flush_index, flush_seed, sim_ptr] {
         write_flight_snapshot(flush_path, flush_index, flush_seed,
@@ -144,6 +143,7 @@ ExperimentResult run_experiment(ExperimentConfig config) {
     }
     if (config.status != nullptr) {
       StatusBoard* board = config.status;
+      const std::uint64_t status_trial = config.status_trial;
       push_status = [board, status_trial, sim_ptr] {
         board->publish_registry(status_trial, sim_ptr->telemetry());
       };
@@ -297,7 +297,7 @@ ExperimentResult run_experiment(ExperimentConfig config) {
   if (config.status != nullptr) {
     // Final registry push: the settle-time truth, including gauges that
     // only move at the end (the flush hook may not have fired recently).
-    config.status->publish_registry(status_trial, sim.telemetry());
+    config.status->publish_registry(config.status_trial, sim.telemetry());
   }
   return result;
 }

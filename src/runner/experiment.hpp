@@ -83,13 +83,16 @@ struct ExperimentConfig {
   /// Live-observability hooks (runtime-only; never serialized). A
   /// non-null `status` board receives this trial's telemetry registry
   /// periodically (the flush-hook cadence) and once at the end, keyed by
-  /// trace_trial — so live dashboards see mid-trial engine health
+  /// status_trial — so live dashboards see mid-trial engine health
   /// (sim/arena_bytes, sim/eq_resizes, phy counters) without waiting for
   /// the trial-end JSONL footer. `profile_phases` arms the wall-clock
   /// phase timers (sim::PhaseTimer); samples are nondeterministic by
   /// nature, so identity-checked runs keep it off. Neither knob affects
   /// trial results, stdout, reports, or journal bytes.
   class StatusBoard* status = nullptr;
+  /// The board key: run_supervised stamps the campaign trial index, so
+  /// concurrent trials keep separate delta baselines on one board.
+  std::uint64_t status_trial = 0;
   bool profile_phases = false;
 };
 

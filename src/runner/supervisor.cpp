@@ -217,6 +217,7 @@ CampaignReport run_supervised(const std::vector<ExperimentConfig>& trials,
       // edges and registry pushes, and nothing it does can reach the
       // result, the report, or the journal.
       config.status = options.status;
+      config.status_trial = i;
       if (options.profile_phases) config.profile_phases = true;
       if (options.status != nullptr) options.status->trial_started(i);
       const auto trial_begin = std::chrono::steady_clock::now();

@@ -6,9 +6,9 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -432,7 +432,12 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
     writer->send(rec);
   };
 
-  std::atomic<bool> finished{false};
+  // The heartbeat thread waits on `finished` rather than sleeping, so
+  // the worker exits as soon as its trials settle instead of waiting
+  // out the rest of a heartbeat interval.
+  std::mutex finished_mutex;
+  std::condition_variable finished_cv;
+  bool finished = false;
   const auto interval =
       std::chrono::milliseconds(std::max<std::uint64_t>(
           10, cli.worker_heartbeat_ms));
@@ -459,10 +464,12 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
                     bytes.size());
     writer->send(std::move(rec));
   };
-  std::thread heartbeat{[writer, &finished, interval, status_every,
-                         &send_status] {
+  std::thread heartbeat{[writer, &finished_mutex, &finished_cv, &finished,
+                         interval, status_every, &send_status] {
     auto last_status = std::chrono::steady_clock::now();
-    while (!finished.load(std::memory_order_acquire)) {
+    std::unique_lock lock{finished_mutex};
+    while (!finished) {
+      lock.unlock();
       WorkerRecord rec;
       rec.kind = WorkerRecordKind::kHeartbeat;
       writer->send(rec);
@@ -471,13 +478,18 @@ void run_worker(const std::vector<ExperimentConfig>& trials,
         send_status();
         last_status = now;
       }
-      std::this_thread::sleep_for(interval);
+      lock.lock();
+      finished_cv.wait_for(lock, interval, [&finished] { return finished; });
     }
   }};
 
   (void)run_supervised(trials, options);
 
-  finished.store(true, std::memory_order_release);
+  {
+    const std::lock_guard lock{finished_mutex};
+    finished = true;
+  }
+  finished_cv.notify_all();
   heartbeat.join();
   send_status();  // the final, settled picture of this shard
   WorkerRecord bye;

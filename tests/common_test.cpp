@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "common/byte_io.hpp"
@@ -126,6 +128,43 @@ TEST(ByteIoTest, WriterBytesAppends) {
 }
 
 // ---- crc16 ---------------------------------------------------------------------
+
+// The textbook bit-serial CRC-16/XMODEM (poly 0x1021, init 0): the
+// oracle the table-driven crc16() must match bit for bit.
+std::uint16_t crc16_bitwise(std::span<const std::uint8_t> data) {
+  std::uint16_t crc = 0x0000;
+  for (const std::uint8_t byte : data) {
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+      if (crc & 0x8000) {
+        crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+      } else {
+        crc = static_cast<std::uint16_t>(crc << 1);
+      }
+    }
+  }
+  return crc;
+}
+
+TEST(Crc16Test, MatchesBitwiseOracleOnEverySingleByte) {
+  for (unsigned b = 0; b < 256; ++b) {
+    const std::uint8_t data[] = {static_cast<std::uint8_t>(b)};
+    EXPECT_EQ(crc16(data), crc16_bitwise(data)) << "byte " << b;
+  }
+}
+
+TEST(Crc16Test, MatchesBitwiseOracleOnRandomBuffers) {
+  std::mt19937 rng{20071115};
+  std::uniform_int_distribution<std::size_t> length{0, 300};
+  std::uniform_int_distribution<unsigned> byte{0, 255};
+  std::vector<std::uint8_t> data;
+  for (int i = 0; i < 4000; ++i) {
+    data.resize(length(rng));
+    for (auto& b : data) b = static_cast<std::uint8_t>(byte(rng));
+    ASSERT_EQ(crc16(data), crc16_bitwise(data))
+        << "buffer " << i << " of length " << data.size();
+  }
+}
 
 TEST(Crc16Test, KnownVector) {
   // CRC-16/XMODEM of "123456789" is 0x31C3.

@@ -103,6 +103,32 @@ TEST(MacFrameViewTest, BadFcsRejected) {
   EXPECT_FALSE(MacFrame::decode(bytes).has_value());
 }
 
+TEST(MacFrameViewTest, EverySingleBitFlipFailsTheFcs) {
+  MacFrame data;
+  data.type = FrameType::kData;
+  data.dsn = 91;
+  data.src = NodeId{4};
+  data.dst = NodeId{17};
+  data.payload = {0x00, 0xFF, 0x5A, 0xA5, 0x12, 0x34, 0x56, 0x78};
+  MacFrame ack;
+  ack.type = FrameType::kAck;
+  ack.dsn = 91;
+  ack.dst = NodeId{4};
+  for (const MacFrame& frame : {data, ack}) {
+    const auto bytes = frame.encode();
+    ASSERT_TRUE(MacFrameView::decode(bytes).has_value());
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        auto flipped = bytes;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        EXPECT_FALSE(MacFrameView::decode(flipped).has_value())
+            << "type " << static_cast<int>(frame.type) << " byte " << i
+            << " bit " << bit;
+      }
+    }
+  }
+}
+
 // ---- CsmaMac ----------------------------------------------------------------
 
 class MacFixture : public ::testing::Test {

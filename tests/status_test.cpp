@@ -869,6 +869,32 @@ TEST(SupervisedStatusTest, RealTrialMetricsFlowAndBytesStayIdentical) {
   EXPECT_EQ(wall->count, 2u);
 }
 
+TEST(SupervisedStatusTest, ConcurrentUntracedTrialsKeepSeparateBoardKeys) {
+  // No trace or flight file is armed, so trace_trial stays -1. The board
+  // must still key each trial's pushes by its index: trials sharing one
+  // key would take deltas against each other's last-seen values.
+  std::vector<ExperimentConfig> trials;
+  for (std::uint64_t seed = 950; seed < 954; ++seed) {
+    trials.push_back(real_trial(seed));
+    trials.back().flight_flush_every_events = 4096;  // many mid-trial pushes
+  }
+  StatusBoard board;
+  SupervisorOptions options;
+  options.threads = 2;
+  options.status = &board;
+  const auto report = run_supervised(trials, options);
+  ASSERT_TRUE(report.all_completed());
+
+  std::uint64_t frames = 0;
+  for (const auto& r : report.results) frames += r.radio_frames;
+  ASSERT_GT(frames, 0u);
+  StatusSnapshot snap;
+  board.fill_snapshot(snap);
+  const auto* board_frames = find_counter(snap, "phy", "frames_tx");
+  ASSERT_NE(board_frames, nullptr);
+  EXPECT_EQ(board_frames->value, frames);
+}
+
 TEST(LocalCampaignStatusTest, WritesFinalSettledStatusFile) {
   const std::string status_path = temp_path("local.json");
   CampaignCli cli;

@@ -779,6 +779,22 @@ TEST(MultiprocessTest, FrozenWorkerIsReapedByHeartbeatWatchdog) {
   }
 }
 
+TEST(MultiprocessTest, WorkerExitDoesNotWaitOutTheHeartbeatInterval) {
+  // Synthetic trials settle in microseconds, so a worker's lifetime is
+  // exec + hello + bye. Its heartbeat thread must wake on completion;
+  // sleeping out the 2 s interval would hold every campaign open ~2 s.
+  const auto trials = scenario_trials(4, 1150);
+  auto mp = mp_options("clean", 4, 1150, 1);
+  mp.heartbeat_interval_ms = 2000;
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = run_multiprocess(trials, mp);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_TRUE(report.all_completed());
+  EXPECT_EQ(report.hard_crashes, 0u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000))
+      << std::chrono::duration<double>(elapsed).count() << " s";
+}
+
 TEST(MultiprocessTest, CorruptPipeFrameIsWorkerCrashNotCoordinatorAbort) {
   const auto trials = scenario_trials(5, 900);
   const auto report =
