@@ -12,8 +12,10 @@
 
 #include "common/crc16.hpp"
 #include "core/four_bit_estimator.hpp"
+#include "estimators/lqi_estimator.hpp"
 #include "mac/frame.hpp"
 #include "net/packets.hpp"
+#include "net/routing_engine.hpp"
 #include "phy/channel.hpp"
 #include "phy/hardware.hpp"
 #include "phy/interference.hpp"
@@ -136,6 +138,63 @@ void BM_FourBitBeaconUnwrap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FourBitBeaconUnwrap);
+
+// Parent selection per snooped data frame (RoutingEngine::on_snooped_cost)
+// on a warmed engine: a full 10-entry link table plus 4 route-only
+// neighbors, 14 routes in all, with advertised costs that keep the
+// parent fixed. Both estimators frame beacons as [seq][routing payload].
+void run_route_recompute(benchmark::State& state,
+                         link::LinkEstimator& est) {
+  sim::Simulator sim;
+  net::RoutingEngine routing{sim, NodeId{100}, false, est,
+                             net::CollectionConfig{}, sim::Rng{1}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  const auto cost_of = [](std::uint16_t n) { return 1.0 + 0.25 * n; };
+  for (std::uint8_t seq = 0; seq < 3; ++seq) {
+    for (std::uint16_t n = 1; n <= 10; ++n) {
+      net::RoutingBeacon b;
+      b.parent = NodeId{0};
+      b.path_etx = cost_of(n);
+      std::vector<std::uint8_t> wire{seq};
+      const auto payload = b.encode();
+      wire.insert(wire.end(), payload.begin(), payload.end());
+      const link::PacketPhyInfo info{.white = true, .lqi = 108 - n % 3};
+      if (const auto routed = est.unwrap_beacon(NodeId{n}, wire, info)) {
+        routing.on_beacon(NodeId{n}, *routed);
+      }
+    }
+  }
+  for (std::uint16_t n = 11; n <= 14; ++n) {
+    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+  }
+  if (est.neighbors().size() != 10 || routing.route_table().size() != 14 ||
+      routing.parent() != NodeId{1}) {
+    state.SkipWithError("warm-up did not reach 10 links, 14 routes");
+    return;
+  }
+  std::uint16_t n = 0;
+  for (auto _ : state) {
+    n = static_cast<std::uint16_t>(n % 14 + 1);
+    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+  }
+  benchmark::DoNotOptimize(routing.parent());
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_RouteRecompute4B(benchmark::State& state) {
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
+  run_route_recompute(state, est);
+}
+BENCHMARK(BM_RouteRecompute4B);
+
+void BM_RouteRecomputeLqi(benchmark::State& state) {
+  estimators::LqiEstimatorConfig config;
+  config.table_capacity = 10;
+  estimators::LqiEstimator est{config, sim::Rng{1}};
+  run_route_recompute(state, est);
+}
+BENCHMARK(BM_RouteRecomputeLqi);
 
 void BM_MacFrameRoundTrip(benchmark::State& state) {
   mac::MacFrame f;

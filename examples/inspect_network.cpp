@@ -84,16 +84,15 @@ int main(int argc, char** argv) {
     std::printf("\nnode %u detail (parent=%u, cost=%.2f):\n",
                 node.id().value(), node.routing().parent().value(),
                 node.routing().path_etx());
-    const auto& routes = node.routing().route_table();
     for (const NodeId n : node.estimator().neighbors()) {
       const auto etx = node.estimator().etx(n);
-      const auto rit = routes.find(n);
+      const auto* route = node.routing().route(n);
       std::printf("  nbr %5u: link-etx=%-8s route=%s\n", n.value(),
                   etx ? std::to_string(*etx).substr(0, 6).c_str() : "-",
-                  rit != routes.end()
+                  route != nullptr
                       ? (std::string("parent=") +
-                         std::to_string(rit->second.parent.value()) +
-                         " cost=" + std::to_string(rit->second.path_etx))
+                         std::to_string(route->parent.value()) +
+                         " cost=" + std::to_string(route->path_etx))
                             .c_str()
                       : "(none)");
     }

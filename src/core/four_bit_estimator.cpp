@@ -236,6 +236,15 @@ std::vector<NodeId> FourBitEstimator::neighbors() const {
   return out;
 }
 
+void FourBitEstimator::link_estimates(
+    std::vector<link::LinkEstimate>& out) const {
+  out.clear();
+  for (const auto& e : table_.entries()) {
+    out.push_back(
+        link::LinkEstimate{e.node, e.data.etx.has_value(), e.data.etx.value()});
+  }
+}
+
 bool FourBitEstimator::remove(NodeId n) {
   const Table::Entry* entry = table_.find(n);
   if (entry == nullptr) return true;  // already gone: nothing stale left

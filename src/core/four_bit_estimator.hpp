@@ -51,6 +51,7 @@ class FourBitEstimator final : public link::LinkEstimator {
   void clear_pins() override;
   [[nodiscard]] std::optional<double> etx(NodeId n) const override;
   [[nodiscard]] std::vector<NodeId> neighbors() const override;
+  void link_estimates(std::vector<link::LinkEstimate>& out) const override;
   [[nodiscard]] std::vector<NodeId> pinned() const override {
     return table_.pinned_nodes();
   }

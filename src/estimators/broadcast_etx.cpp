@@ -154,7 +154,21 @@ void BroadcastEtxEstimator::clear_pins() { table_.clear_pins(); }
 std::optional<double> BroadcastEtxEstimator::etx(NodeId n) const {
   const Table::Entry* entry = table_.find(n);
   if (entry == nullptr) return std::nullopt;
-  const LinkState& st = entry->data;
+  return link_etx(entry->data);
+}
+
+void BroadcastEtxEstimator::link_estimates(
+    std::vector<link::LinkEstimate>& out) const {
+  out.clear();
+  for (const auto& e : table_.entries()) {
+    const auto etx = link_etx(e.data);
+    out.push_back(
+        link::LinkEstimate{e.node, etx.has_value(), etx.value_or(0.0)});
+  }
+}
+
+std::optional<double> BroadcastEtxEstimator::link_etx(
+    const LinkState& st) const {
   // Bidirectional ETX needs both directions: our inbound measurement and
   // their reported reverse quality. Without the reverse report (we are
   // not in their table) the link cannot be used — the in-degree limit.

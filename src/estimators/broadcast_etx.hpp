@@ -68,6 +68,7 @@ class BroadcastEtxEstimator final : public link::LinkEstimator {
   void clear_pins() override;
   [[nodiscard]] std::optional<double> etx(NodeId n) const override;
   [[nodiscard]] std::vector<NodeId> neighbors() const override;
+  void link_estimates(std::vector<link::LinkEstimate>& out) const override;
   [[nodiscard]] std::vector<NodeId> pinned() const override {
     return table_.pinned_nodes();
   }
@@ -108,6 +109,7 @@ class BroadcastEtxEstimator final : public link::LinkEstimator {
 
   using Table = link::NeighborTable<LinkState>;
 
+  [[nodiscard]] std::optional<double> link_etx(const LinkState& st) const;
   [[nodiscard]] bool try_admit(NodeId from, const link::PacketPhyInfo& phy,
                                std::span<const std::uint8_t> payload);
 

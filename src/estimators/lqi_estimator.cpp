@@ -61,6 +61,7 @@ void LqiEstimator::note_lqi(NodeId from, int lqi) {
     if (entry == nullptr) return;
   }
   entry->data.lqi.update(static_cast<double>(lqi));
+  entry->data.etx = lqi_to_etx(entry->data.lqi.value());
 }
 
 double LqiEstimator::lqi_to_etx(double lqi) const {
@@ -72,7 +73,15 @@ double LqiEstimator::lqi_to_etx(double lqi) const {
 std::optional<double> LqiEstimator::etx(NodeId n) const {
   const Table::Entry* e = table_.find(n);
   if (e == nullptr || !e->data.lqi.has_value()) return std::nullopt;
-  return lqi_to_etx(e->data.lqi.value());
+  return e->data.etx;
+}
+
+void LqiEstimator::link_estimates(std::vector<link::LinkEstimate>& out) const {
+  out.clear();
+  for (const auto& e : table_.entries()) {
+    out.push_back(
+        link::LinkEstimate{e.node, e.data.lqi.has_value(), e.data.etx});
+  }
 }
 
 std::optional<double> LqiEstimator::smoothed_lqi(NodeId n) const {

@@ -62,6 +62,7 @@ class LqiEstimator final : public link::LinkEstimator {
   void clear_pins() override;
   [[nodiscard]] std::optional<double> etx(NodeId n) const override;
   [[nodiscard]] std::vector<NodeId> neighbors() const override;
+  void link_estimates(std::vector<link::LinkEstimate>& out) const override;
   [[nodiscard]] std::vector<NodeId> pinned() const override {
     return table_.pinned_nodes();
   }
@@ -87,6 +88,9 @@ class LqiEstimator final : public link::LinkEstimator {
  private:
   struct LinkState {
     Ewma lqi;
+    // lqi_to_etx(lqi.value()), refreshed with every EWMA update so the
+    // routing engine's per-packet reads never pay the pow().
+    double etx = 0.0;
     explicit LinkState(const LqiEstimatorConfig& cfg)
         : lqi(cfg.lqi_history) {}
   };

@@ -25,6 +25,15 @@ class TelemetryContext;
 
 namespace fourbit::link {
 
+/// One table entry's link estimate, as returned by the bulk read
+/// LinkEstimator::link_estimates. `etx` is meaningful only when
+/// `has_etx` is set.
+struct LinkEstimate {
+  NodeId node;
+  bool has_etx = false;
+  double etx = 0.0;
+};
+
 /// Network-layer half of the compare bit. The estimator asks; the network
 /// layer answers from its routing state.
 class CompareProvider {
@@ -90,6 +99,20 @@ class LinkEstimator {
 
   /// Nodes currently tracked.
   [[nodiscard]] virtual std::vector<NodeId> neighbors() const = 0;
+
+  /// Bulk read for parent selection: replaces `out` with one entry per
+  /// tracked node, in neighbors() order, each carrying exactly what
+  /// etx(node) returns. Real estimators fill it in one pass over their
+  /// table, allocating nothing once `out` has grown to the table size.
+  /// The default composes neighbors() and etx() (stateless estimators,
+  /// test fakes).
+  virtual void link_estimates(std::vector<LinkEstimate>& out) const {
+    out.clear();
+    for (const NodeId n : neighbors()) {
+      const auto e = etx(n);
+      out.push_back(LinkEstimate{n, e.has_value(), e.value_or(0.0)});
+    }
+  }
 
   // ---- supervision hooks (see sim::InvariantAuditor) --------------------
 

@@ -64,16 +64,18 @@ class NeighborTable {
   /// telemetry can attribute the eviction — or nullopt if every entry is
   /// pinned.
   std::optional<NodeId> evict_random_unpinned(sim::Rng& rng) {
-    std::vector<std::size_t> candidates;
-    candidates.reserve(entries_.size());
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      if (!entries_[i].pinned) candidates.push_back(i);
+    // Draw the k-th unpinned entry in table order, without building a
+    // candidate list.
+    std::size_t unpinned = 0;
+    for (const auto& e : entries_) {
+      if (!e.pinned) ++unpinned;
     }
-    if (candidates.empty()) return std::nullopt;
-    const std::size_t victim =
-        candidates[rng.uniform_int(candidates.size())];
-    const NodeId evicted = entries_[victim].node;
-    entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+    if (unpinned == 0) return std::nullopt;
+    std::size_t k = rng.uniform_int(unpinned);
+    auto victim = entries_.begin();
+    while (victim->pinned || k-- != 0) ++victim;
+    const NodeId evicted = victim->node;
+    entries_.erase(victim);
     return evicted;
   }
 

@@ -1,6 +1,7 @@
 #include "net/routing_engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -113,32 +114,48 @@ bool RoutingEngine::has_route() const {
          (parent_ != kInvalidNodeId && my_cost_ < config_.max_path_etx);
 }
 
-std::optional<double> RoutingEngine::total_cost(NodeId neighbor) const {
-  const auto rit = routes_.find(neighbor);
-  if (rit == routes_.end()) return std::nullopt;
+const RoutingEngine::NeighborRoute* RoutingEngine::route(NodeId n) const {
+  for (const RouteEntry& r : routes_) {
+    if (r.node == n) return &r.route;
+  }
+  return nullptr;
+}
+
+RoutingEngine::NeighborRoute* RoutingEngine::find_route(NodeId n) {
+  return const_cast<NeighborRoute*>(std::as_const(*this).route(n));
+}
+
+std::optional<double> RoutingEngine::total_cost(
+    const link::LinkEstimate& link) const {
+  if (!link.has_etx) return std::nullopt;
+  const NeighborRoute* r = route(link.node);
+  if (r == nullptr) return std::nullopt;
   // A neighbor routing through us would form a loop; a neighbor without a
   // route is useless; a stale advertisement cannot be trusted (stale
   // costs are what keep count-to-infinity loops alive).
-  if (rit->second.parent == self_) return std::nullopt;
-  if (rit->second.path_etx >= config_.max_path_etx) return std::nullopt;
+  if (r->parent == self_) return std::nullopt;
+  if (r->path_etx >= config_.max_path_etx) return std::nullopt;
   // Stale advertisements are rejected for *candidates* (stale costs are
   // what keep count-to-infinity loops alive) but not for the current
   // parent: that link is being validated continuously by datapath acks,
   // and beacons in steady state arrive at multi-minute Trickle intervals.
-  if (neighbor != parent_ &&
-      sim_.now() - rit->second.last_heard > config_.route_expiry) {
+  if (link.node != parent_ &&
+      sim_.now() - r->last_heard > config_.route_expiry) {
     return std::nullopt;
   }
-  const auto link = estimator_.etx(neighbor);
-  if (!link.has_value()) return std::nullopt;
-  return rit->second.path_etx + *link;
+  return r->path_etx + link.etx;
 }
 
 void RoutingEngine::on_beacon(NodeId from,
                               std::span<const std::uint8_t> payload) {
   const auto beacon = RoutingBeacon::decode(payload);
   if (!beacon.has_value()) return;
-  routes_[from] = NeighborRoute{beacon->parent, beacon->path_etx, sim_.now()};
+  const NeighborRoute heard{beacon->parent, beacon->path_etx, sim_.now()};
+  if (NeighborRoute* r = find_route(from)) {
+    *r = heard;
+  } else {
+    routes_.push_back(RouteEntry{from, heard});
+  }
 
   // The pull bit: a neighbor is starving for routing state; advertise
   // ours quickly (rate-limited like every other Trickle reset).
@@ -149,11 +166,12 @@ void RoutingEngine::on_beacon(NodeId from,
   // Drop route state for nodes the estimator no longer tracks; the route
   // table must not grow past the link table (the layer-agreement failure
   // the paper cites from the Potatoes deployment).
-  if (routes_.size() > estimator_.neighbors().size() + 4) {
-    const auto tracked = estimator_.neighbors();
-    std::erase_if(routes_, [&](const auto& kv) {
-      return std::find(tracked.begin(), tracked.end(), kv.first) ==
-             tracked.end();
+  estimator_.link_estimates(estimates_);
+  if (routes_.size() > estimates_.size() + 4) {
+    std::erase_if(routes_, [&](const RouteEntry& r) {
+      return std::none_of(
+          estimates_.begin(), estimates_.end(),
+          [&](const link::LinkEstimate& l) { return l.node == r.node; });
     });
   }
 
@@ -161,14 +179,14 @@ void RoutingEngine::on_beacon(NodeId from,
 }
 
 void RoutingEngine::on_snooped_cost(NodeId from, double path_etx) {
-  const auto it = routes_.find(from);
-  if (it != routes_.end()) {
+  if (NeighborRoute* r = find_route(from)) {
     // Refresh the cost and the staleness clock; the advertised parent is
     // whatever the last beacon said.
-    it->second.path_etx = path_etx;
-    it->second.last_heard = sim_.now();
+    r->path_etx = path_etx;
+    r->last_heard = sim_.now();
   } else {
-    routes_[from] = NeighborRoute{kInvalidNodeId, path_etx, sim_.now()};
+    routes_.push_back(
+        RouteEntry{from, NeighborRoute{kInvalidNodeId, path_etx, sim_.now()}});
   }
   update_route();
 }
@@ -193,17 +211,21 @@ void RoutingEngine::note_route_state() {
 void RoutingEngine::recompute_route() {
   if (is_root_ || !started_) return;
 
+  // One pass over the link table, in table order: the first strictly
+  // cheapest candidate wins, and the current parent's cost comes from the
+  // same pass (nullopt when the parent has left the table).
+  estimator_.link_estimates(estimates_);
   NodeId best = kInvalidNodeId;
   double best_cost = config_.max_path_etx;
-  for (const NodeId n : estimator_.neighbors()) {
-    const auto cost = total_cost(n);
+  std::optional<double> current_cost;
+  for (const link::LinkEstimate& l : estimates_) {
+    const auto cost = total_cost(l);
+    if (l.node == parent_) current_cost = cost;
     if (cost.has_value() && *cost < best_cost) {
       best_cost = *cost;
-      best = n;
+      best = l.node;
     }
   }
-
-  const auto current_cost = total_cost(parent_);
 
   if (best == kInvalidNodeId) {
     // No usable candidate at all. Keep the (possibly broken) parent and
@@ -288,7 +310,8 @@ void RoutingEngine::evict_parent() {
     estimator_.unpin(dead);
     (void)estimator_.remove(dead);
   }
-  routes_.erase(dead);
+  std::erase_if(routes_,
+                [dead](const RouteEntry& r) { return r.node == dead; });
   // The node has been wedged since the streak's first failed delivery;
   // report the route as lost from that moment so time-to-reroute covers
   // detection, not just the post-eviction search.
@@ -325,12 +348,12 @@ bool RoutingEngine::compare_bit(NodeId /*candidate*/,
   // churn would keep every entry immature forever (this matters for
   // probe-based estimators, whose entries need a neighbor's reverse
   // report before they become usable).
+  estimator_.link_estimates(estimates_);
+  const std::size_t total = estimates_.size();
   std::size_t useless = 0;
-  std::size_t total = 0;
   double worst = -1.0;
-  for (const NodeId n : estimator_.neighbors()) {
-    ++total;
-    const auto cost = total_cost(n);
+  for (const link::LinkEstimate& l : estimates_) {
+    const auto cost = total_cost(l);
     if (!cost.has_value()) {
       ++useless;
     } else {

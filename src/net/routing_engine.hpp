@@ -10,7 +10,6 @@
 
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -87,10 +86,20 @@ class RoutingEngine final : public link::CompareProvider {
     double path_etx = 0.0;
     sim::Time last_heard;
   };
-  [[nodiscard]] const std::unordered_map<NodeId, NeighborRoute>&
-  route_table() const {
+  struct RouteEntry {
+    NodeId node;
+    NeighborRoute route;
+  };
+  /// One entry per neighbor heard from, in no particular order. Snooped
+  /// frames may add entries between beacons; the beacon handler trims
+  /// the table back to nodes the estimator tracks once it exceeds the
+  /// link table size + 4. It stays small, so it is a flat vector
+  /// searched linearly.
+  [[nodiscard]] const std::vector<RouteEntry>& route_table() const {
     return routes_;
   }
+  /// `n`'s last advertised route, or null if none is held.
+  [[nodiscard]] const NeighborRoute* route(NodeId n) const;
 
   [[nodiscard]] std::uint64_t parent_changes() const {
     return parent_changes_;
@@ -116,7 +125,11 @@ class RoutingEngine final : public link::CompareProvider {
   void reset_beacon_interval();
   void refresh_beacon_ceiling();
 
-  [[nodiscard]] std::optional<double> total_cost(NodeId neighbor) const;
+  [[nodiscard]] NeighborRoute* find_route(NodeId n);
+  /// Path cost through `link.node`, or nullopt if that neighbor cannot
+  /// be a parent (see the definition for the rules).
+  [[nodiscard]] std::optional<double> total_cost(
+      const link::LinkEstimate& link) const;
 
   sim::Simulator& sim_;
   NodeId self_;
@@ -127,7 +140,10 @@ class RoutingEngine final : public link::CompareProvider {
   stats::Metrics* metrics_;
   BeaconSender beacon_sender_;
 
-  std::unordered_map<NodeId, NeighborRoute> routes_;
+  std::vector<RouteEntry> routes_;
+  // Scratch for LinkEstimator::link_estimates: one bulk read of the link
+  // table per routing input, reusing this buffer's capacity.
+  std::vector<link::LinkEstimate> estimates_;
   NodeId parent_ = kInvalidNodeId;
   double my_cost_;  // cached advertised cost
 

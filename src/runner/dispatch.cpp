@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -929,17 +930,23 @@ void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
     writer.send(encode_worker_record(hello));
   }
 
-  std::atomic<bool> done{false};
-  const std::uint64_t beat_ms = std::max<std::uint64_t>(
-      50, cli.worker_heartbeat_ms != 0 ? cli.worker_heartbeat_ms : 250);
+  // The heartbeat thread waits on `done` rather than sleeping, so a
+  // finished session closes (and the next coordinator is accepted) at
+  // once instead of after the rest of a heartbeat interval.
+  std::mutex done_mutex;
+  std::condition_variable done_cv;
+  bool done = false;
+  const auto beat = std::chrono::milliseconds(std::max<std::uint64_t>(
+      50, cli.worker_heartbeat_ms != 0 ? cli.worker_heartbeat_ms : 250));
   std::thread heartbeat([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(beat_ms));
-      if (done.load(std::memory_order_relaxed)) break;
-      WorkerRecord beat;
-      beat.kind = WorkerRecordKind::kHeartbeat;
-      beat.worker = cli.worker_id;
-      writer.send(encode_worker_record(beat));
+    std::unique_lock lock{done_mutex};
+    while (!done_cv.wait_for(lock, beat, [&done] { return done; })) {
+      lock.unlock();
+      WorkerRecord rec;
+      rec.kind = WorkerRecordKind::kHeartbeat;
+      rec.worker = cli.worker_id;
+      writer.send(encode_worker_record(rec));
+      lock.lock();
     }
   });
 
@@ -986,7 +993,11 @@ void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
     if (parser.corrupt()) break;
   }
 
-  done.store(true, std::memory_order_relaxed);
+  {
+    const std::lock_guard lock{done_mutex};
+    done = true;
+  }
+  done_cv.notify_all();
   heartbeat.join();
 }
 

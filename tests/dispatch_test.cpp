@@ -173,12 +173,14 @@ CampaignReport reference_report(std::size_t n, std::uint64_t base,
 }
 
 /// One self-exec'd host-agent process: --serve 0 plus the scenario
-/// flags, with stderr on a pipe so the announced ephemeral port can be
-/// parsed. SIGKILLed (idempotently) on destruction.
+/// flags and any `extra` agent flags, with stderr on a pipe so the
+/// announced ephemeral port can be parsed. SIGKILLed (idempotently) on
+/// destruction.
 class SpawnedAgent {
  public:
   SpawnedAgent(const std::string& scenario, std::size_t n,
-               std::uint64_t base) {
+               std::uint64_t base,
+               const std::vector<std::string>& extra = {}) {
     int err_pipe[2] = {-1, -1};
     if (::pipe(err_pipe) != 0) return;
     pid_ = ::fork();
@@ -191,6 +193,7 @@ class SpawnedAgent {
           "--dt-scenario",  scenario,     "--dt-trials",
           std::to_string(n), "--dt-seed", std::to_string(base),
           "--threads",      "1"};
+      args.insert(args.end(), extra.begin(), extra.end());
       std::vector<char*> argv;
       argv.reserve(args.size() + 1);
       for (auto& a : args) argv.push_back(a.data());
@@ -682,6 +685,30 @@ TEST(DispatchTest, CleanTwoHostRunMatchesSingleProcess) {
       TrialJournal::shard_path(stem, kLocalShardId)));
   std::filesystem::remove(stem);
   std::filesystem::remove(ref_stem);
+}
+
+TEST(DispatchTest, FinishedSessionClosesWithoutWaitingOutHeartbeat) {
+  // The agent serves one session at a time, so a second campaign is
+  // accepted only once the first session has closed. With a 2 s
+  // heartbeat, a session end that slept out the heartbeat interval would
+  // hold the second campaign back by up to 2 s.
+  const std::uint64_t base = 450;
+  const std::size_t n = 2;
+  SpawnedAgent agent{"clean", n, base, {"--worker-heartbeat-ms", "2000"}};
+  ASSERT_NE(agent.port(), 0);
+
+  const auto trials = scenario_trials(n, base);
+  const auto start = std::chrono::steady_clock::now();
+  for (int campaign = 0; campaign < 2; ++campaign) {
+    const auto report = run_distributed(trials, dt_options({agent.port()}));
+    ASSERT_TRUE(report.all_completed());
+    EXPECT_EQ(report.host_losses, 0u);
+    ASSERT_EQ(report.host_health.size(), 1u);
+    EXPECT_EQ(report.host_health[0].completed, n);  // served, not local
+  }
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(elapsed.count(), 1000);
 }
 
 TEST(DispatchTest, HostSigkilledMidTrialLeaseReassigned) {

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "core/four_bit_estimator.hpp"
 #include "estimators/broadcast_etx.hpp"
 #include "estimators/lqi_estimator.hpp"
 #include "sim/rng.hpp"
@@ -250,6 +255,148 @@ TEST(LqiEstimatorTest, PinBlocksEviction) {
   e.on_data_rx(NodeId{2}, info(true, 110));
   EXPECT_TRUE(e.smoothed_lqi(NodeId{1}).has_value());
   EXPECT_FALSE(e.smoothed_lqi(NodeId{2}).has_value());
+}
+
+// ---- bulk read vs point queries -------------------------------------------
+
+/// Answers compare-bit queries with a seeded coin, so white-bit
+/// admissions keep evicting entries.
+class CoinCompare final : public link::CompareProvider {
+ public:
+  explicit CoinCompare(std::uint64_t seed) : rng_(seed) {}
+  bool compare_bit(NodeId, std::span<const std::uint8_t>) override {
+    return rng_.bernoulli(0.5);
+  }
+
+ private:
+  sim::Rng rng_;
+};
+
+/// link_estimates() must be neighbors() zipped with etx(): same order,
+/// same presence, and the same double bit for bit.
+void expect_bulk_read_matches(const link::LinkEstimator& est) {
+  std::vector<link::LinkEstimate> bulk;
+  est.link_estimates(bulk);
+  const auto nodes = est.neighbors();
+  ASSERT_EQ(bulk.size(), nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    ASSERT_EQ(bulk[i].node, nodes[i]) << "entry " << i;
+    const auto etx = est.etx(nodes[i]);
+    ASSERT_EQ(bulk[i].has_etx, etx.has_value()) << "node " << nodes[i].value();
+    if (etx.has_value()) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(bulk[i].etx),
+                std::bit_cast<std::uint64_t>(*etx))
+          << "node " << nodes[i].value();
+    }
+  }
+}
+
+using MakeEstimator =
+    std::function<std::unique_ptr<link::LinkEstimator>(NodeId)>;
+
+/// Drives node 0's estimator through a seeded random mix of every input
+/// the stack feeds it — beacons from 30 peers (some lost, white and LQI
+/// varied), node 0's own beacons reaching peers (so probe estimators get
+/// reverse reports), unicast results, data receptions, pin/unpin,
+/// removals and the occasional reboot — checking the bulk read after
+/// every step. `extra` adds per-estimator checks.
+void drive_and_check(const MakeEstimator& make,
+                     const std::function<void(const link::LinkEstimator&)>&
+                         extra = nullptr) {
+  constexpr std::uint16_t kPeers = 30;
+  auto self = make(NodeId{0});
+  std::vector<std::unique_ptr<link::LinkEstimator>> peers;
+  for (std::uint16_t i = 1; i <= kPeers; ++i) peers.push_back(make(NodeId{i}));
+  CoinCompare coin{7};
+  self->set_compare_provider(&coin);
+  sim::Rng rng{2024};
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
+
+  for (int step = 0; step < 5000; ++step) {
+    const auto p = static_cast<std::uint16_t>(rng.uniform_int(kPeers));
+    const NodeId peer{static_cast<std::uint16_t>(p + 1)};
+    const link::PacketPhyInfo phy{
+        .white = rng.bernoulli(0.7),
+        .lqi = 50 + static_cast<int>(rng.uniform_int(61))};
+    const auto op = rng.uniform_int(100);
+    if (op < 45) {
+      const auto wire = peers[p]->wrap_beacon(payload);
+      if (rng.bernoulli(0.8)) (void)self->unwrap_beacon(peer, wire, phy);
+    } else if (op < 60) {
+      (void)peers[p]->unwrap_beacon(NodeId{0}, self->wrap_beacon(payload),
+                                    phy);
+    } else if (op < 75) {
+      self->on_unicast_result(peer, rng.bernoulli(0.6));
+    } else if (op < 82) {
+      self->on_data_rx(peer, phy);
+    } else if (op < 88) {
+      (void)self->pin(peer);
+    } else if (op < 93) {
+      self->unpin(peer);
+    } else if (op < 94) {
+      self->clear_pins();
+    } else if (op < 99) {
+      (void)self->remove(peer);
+    } else if (rng.bernoulli(0.2)) {
+      self->reset();
+    }
+    expect_bulk_read_matches(*self);
+    if (extra) extra(*self);
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "after step " << step << " (op " << op << ")";
+    }
+  }
+}
+
+TEST(LinkEstimatesTest, FourBitBulkReadMatchesPointQueries) {
+  drive_and_check([](NodeId id) {
+    return std::make_unique<core::FourBitEstimator>(core::FourBitConfig{},
+                                                    sim::Rng{id.value()});
+  });
+}
+
+TEST(LinkEstimatesTest, BroadcastEtxBulkReadMatchesPointQueries) {
+  std::size_t usable = 0;
+  drive_and_check(
+      [](NodeId id) {
+        BroadcastEtxConfig cfg;
+        cfg.insertion = core::InsertionPolicy::kWhiteCompare;
+        return std::make_unique<BroadcastEtxEstimator>(id, cfg,
+                                                       sim::Rng{id.value()});
+      },
+      [&usable](const link::LinkEstimator& est) {
+        std::vector<link::LinkEstimate> bulk;
+        est.link_estimates(bulk);
+        usable += static_cast<std::size_t>(std::count_if(
+            bulk.begin(), bulk.end(),
+            [](const link::LinkEstimate& l) { return l.has_etx; }));
+      });
+  // The sequence must reach bidirectional estimates, not only the
+  // "no reverse report yet" case.
+  EXPECT_GT(usable, 1000u);
+}
+
+TEST(LinkEstimatesTest, LqiBulkReadMatchesPointQueriesAndStoredMapping) {
+  LqiEstimatorConfig cfg;
+  cfg.table_capacity = 10;
+  drive_and_check(
+      [cfg](NodeId id) {
+        return std::make_unique<LqiEstimator>(cfg, sim::Rng{id.value()});
+      },
+      [](const link::LinkEstimator& est) {
+        // The stored estimate is exactly the mapping of the stored
+        // smoothed LQI: caching it changed no bit.
+        const auto& lqi = static_cast<const LqiEstimator&>(est);
+        for (const NodeId n : lqi.neighbors()) {
+          const auto smoothed = lqi.smoothed_lqi(n);
+          const auto etx = lqi.etx(n);
+          ASSERT_EQ(smoothed.has_value(), etx.has_value());
+          if (!etx.has_value()) continue;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(*etx),
+                    std::bit_cast<std::uint64_t>(lqi.lqi_to_etx(*smoothed)))
+              << "node " << n.value();
+        }
+      });
 }
 
 }  // namespace

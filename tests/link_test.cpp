@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
 
 #include "link/neighbor_table.hpp"
 #include "link/packet_info.hpp"
@@ -104,6 +105,36 @@ TEST(NeighborTableTest, RandomEvictionIsRoughlyUniform) {
   }
   for (std::uint16_t i = 1; i <= 3; ++i) {
     EXPECT_NEAR(evicted[NodeId{i}], trials / 3, trials / 10);
+  }
+}
+
+TEST(NeighborTableTest, RandomEvictionDrawsTheCandidateListVictim) {
+  // Oracle: the k-th unpinned entry, k drawn once over the unpinned
+  // count, is the victim a list of unpinned indices would have given for
+  // the same draw.
+  sim::Rng pins{5};
+  sim::Rng rng{11};
+  for (int trial = 0; trial < 500; ++trial) {
+    Table t{10};
+    for (std::uint16_t i = 0; i < 10; ++i) {
+      (void)t.insert(NodeId{i});
+      if (pins.bernoulli(0.3)) (void)t.pin(NodeId{i});
+    }
+    std::vector<NodeId> candidates;
+    for (const auto& e : t.entries()) {
+      if (!e.pinned) candidates.push_back(e.node);
+    }
+    sim::Rng twin = rng;
+    const auto victim = t.evict_random_unpinned(rng);
+    if (candidates.empty()) {
+      EXPECT_FALSE(victim.has_value());
+      continue;
+    }
+    ASSERT_TRUE(victim.has_value());
+    EXPECT_EQ(*victim, candidates[twin.uniform_int(candidates.size())]);
+    EXPECT_EQ(rng.next_u64(), twin.next_u64()) << "one draw per eviction";
+    EXPECT_EQ(t.find(*victim), nullptr);
+    EXPECT_EQ(t.size(), 9u);
   }
 }
 

@@ -7,13 +7,17 @@
 // without a radio underneath.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <deque>
 #include <map>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/four_bit_estimator.hpp"
+#include "link/neighbor_table.hpp"
 #include "net/config.hpp"
 #include "net/forwarding_engine.hpp"
 #include "net/packets.hpp"
@@ -21,8 +25,56 @@
 #include "sim/simulator.hpp"
 #include "stats/metrics.hpp"
 
+// ---- allocation counting ---------------------------------------------------
+//
+// The global operator new is replaced for this test binary so a test can
+// assert that a code path allocates nothing. Only allocations made on a
+// thread whose counting flag is set are counted; everything forwards to
+// malloc/free, which sanitizers intercept as usual. The operators stay
+// out of line so the compiler never pairs an inlined new with a bare
+// free (-Wmismatched-new-delete).
+
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace fourbit::net {
 namespace {
+
+/// Counts this thread's operator-new calls for the guard's lifetime.
+class AllocationCounter {
+ public:
+  AllocationCounter() {
+    t_allocations = 0;
+    t_count_allocations = true;
+  }
+  ~AllocationCounter() { t_count_allocations = false; }
+  AllocationCounter(const AllocationCounter&) = delete;
+  AllocationCounter& operator=(const AllocationCounter&) = delete;
+
+  [[nodiscard]] std::size_t stop() {
+    t_count_allocations = false;
+    return t_allocations;
+  }
+};
 
 // ---- wire formats --------------------------------------------------------
 
@@ -411,6 +463,66 @@ TEST(RoutingEvictionTest, EvictionDisabledKeepsDeadParent) {
   EXPECT_EQ(routing.parent_evictions(), 0u);
   EXPECT_EQ(routing.parent(), NodeId{1});
   EXPECT_TRUE(est.pinned.contains(NodeId{1}));
+}
+
+TEST(RoutingAllocationTest, SteadyStateRoutingInputsAllocateNothing) {
+  // A real 4B estimator with a full 10-entry table plus 4 route-only
+  // neighbors: parent selection on every snooped frame (and the compare
+  // bit) must run without touching the heap once warmed.
+  sim::Simulator sim;
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{5}};
+  RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
+                        sim::Rng{1}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  const auto cost_of = [](std::uint16_t n) { return 1.0 + 0.5 * n; };
+  for (std::uint8_t seq = 0; seq < 3; ++seq) {
+    for (std::uint16_t n = 1; n <= 10; ++n) {
+      std::vector<std::uint8_t> wire{seq};
+      const auto routing_payload = beacon_from(NodeId{99}, cost_of(n));
+      wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
+      const auto payload = est.unwrap_beacon(
+          NodeId{n}, wire, link::PacketPhyInfo{.white = true});
+      ASSERT_TRUE(payload.has_value());
+      routing.on_beacon(NodeId{n}, *payload);
+    }
+  }
+  for (std::uint16_t n = 11; n <= 14; ++n) {
+    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+  }
+  ASSERT_EQ(est.table_size(), 10u);
+  ASSERT_EQ(routing.route_table().size(), 14u);
+  ASSERT_EQ(routing.parent(), NodeId{1});
+  const std::uint64_t changes = routing.parent_changes();
+  const auto candidate = beacon_from(NodeId{99}, 2.0);
+
+  AllocationCounter counter;
+  for (int round = 0; round < 50; ++round) {
+    for (std::uint16_t n = 1; n <= 14; ++n) {
+      routing.on_snooped_cost(NodeId{n}, cost_of(n));
+    }
+    (void)routing.compare_bit(NodeId{20}, candidate);
+  }
+  const std::size_t allocations = counter.stop();
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(routing.parent(), NodeId{1});
+  EXPECT_EQ(routing.parent_changes(), changes);
+}
+
+TEST(RoutingAllocationTest, RandomTableEvictionAllocatesNothing) {
+  // The white+compare admission path evicts a random unpinned entry; the
+  // draw walks the table instead of building a candidate list.
+  link::NeighborTable<int> table{10};
+  for (std::uint16_t n = 0; n < 10; ++n) (void)table.insert(NodeId{n});
+  (void)table.pin(NodeId{3});
+  sim::Rng rng{9};
+  AllocationCounter counter;
+  const auto victim = table.evict_random_unpinned(rng);
+  const std::size_t allocations = counter.stop();
+  EXPECT_EQ(allocations, 0u);
+  ASSERT_TRUE(victim.has_value());
+  EXPECT_NE(*victim, NodeId{3});
 }
 
 // ---- ForwardingEngine -------------------------------------------------------------
