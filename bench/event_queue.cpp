@@ -1,6 +1,6 @@
-// Event-queue throughput benchmark: the calendar queue (SimConfig
-// default) against the binary-heap reference, on the two access
-// patterns that dominate a trial's kernel time.
+// Event-queue throughput benchmark: the calendar queue (the one the
+// Simulator builds) against the binary-heap reference, on the two
+// access patterns that dominate a trial's kernel time.
 //
 //   hold   — classic hold model: pop the minimum, schedule a replacement
 //            a random offset ahead, queue depth constant. This is the

@@ -9,11 +9,6 @@
 
 namespace fourbit::phy {
 
-namespace {
-// Sentinel for a batched PRR miss with no memo slot to write back into.
-constexpr std::size_t kNoMemoSlot = static_cast<std::size_t>(-1);
-}  // namespace
-
 Channel::Channel(sim::Simulator& sim, PhyConfig phy, PropagationConfig prop,
                  std::unique_ptr<InterferenceModel> interference,
                  sim::Rng rng)
@@ -151,8 +146,9 @@ void Channel::rebuild_cache() {
     if (radios_[r] == nullptr) continue;
     rx_cutoff_dbm_[r] =
         (radios_[r]->noise_floor() + phy_.reception_cutoff_margin).value();
-    // The exact doubles the slow delivery loop computes (noise_mw + 0.0
-    // keeps the bit pattern), so the cached-noise SINR is bit-identical.
+    // The exact doubles delivery derives from the radio when no cache is
+    // frozen (noise_mw + 0.0 keeps the bit pattern), so the cached-noise
+    // SINR is bit-identical.
     noise_mw_[r] = radios_[r]->noise_floor().milliwatts();
     noise_dbm_[r] = PowerDbm::from_milliwatts(noise_mw_[r]).value();
   }
@@ -581,6 +577,24 @@ double Channel::interference_term(const ActiveTx& other, std::uint32_t ri,
   return gain_mw_[other.sender_index * n_ + ri];
 }
 
+// Inline: pass A calls this once per interference-free reception, and an
+// out-of-line call there cost ~5 % of `lpl` throughput on a 4-vCPU Xeon
+// VM (DESIGN.md §8.15).
+inline Channel::PrrMemo Channel::prr_memo(const ActiveTx& tx,
+                                          const PendingRx& rx) {
+  // A slot is trusted only while the row still holds the gain this
+  // reception captured: a mid-flight tx-power change re-derives the row,
+  // and in-flight frames keep their old power.
+  if (sparse_mode_) {
+    SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
+    if (link == nullptr || link->gain_dbm != rx.rx_power.value()) return {};
+    return {&link->prr_bytes, &link->prr_val};
+  }
+  const std::size_t pi = tx.sender_index * n_ + rx.receiver_index;
+  if (gain_dbm_[pi] != rx.rx_power.value()) return {};
+  return {&prr_bytes_[pi], &prr_val_[pi]};
+}
+
 void Channel::start_transmission(Radio& sender,
                                  std::span<const std::uint8_t> frame,
                                  Radio::TxDoneHandler done) {
@@ -612,20 +626,18 @@ void Channel::start_transmission(Radio& sender,
   tx->frame.assign(frame.begin(), frame.end());
 
   // Enumerate candidate receivers and seed their interference with the
-  // transmissions already in the air. Both cached paths visit the
-  // sender's precomputed candidates in slot (attach) order — the same
-  // receivers, in the same order, as the slow path's full scan — so RNG
-  // draws line up bitwise; a detached-but-alive sender has no cache row
-  // and falls back to the slow scan.
-  if (tx->cached && phy_.use_batch_kernels) {
-    // Batch kernels: pass 1 gathers the live candidates into contiguous
-    // scratch arrays (same candidates, same slot order as the scalar
-    // branches below); pass 2 accumulates interference with the loops
-    // interchanged — outer over active transmissions, inner over the
-    // gathered receivers — so each receiver's accumulator still adds
-    // the exact same terms in the exact same (active-set) order and
-    // every double matches the scalar path bitwise, while the dense
-    // inner loop is a fixed-order walk over two flat arrays.
+  // transmissions already in the air. A cached sender's precomputed
+  // candidates are visited in slot (attach) order — the same receivers,
+  // in the same order, as the per-pair full scan — so RNG draws line up
+  // bitwise; a detached-but-alive sender has no cache row and takes the
+  // per-pair scan.
+  if (tx->cached) {
+    // Pass 1 gathers the live candidates into contiguous scratch arrays;
+    // pass 2 accumulates interference outer over active transmissions,
+    // inner over the gathered receivers. Each receiver's accumulator
+    // still adds its terms in active-set order, so every sum matches the
+    // per-pair path bitwise, while the dense inner loop is a fixed-order
+    // walk over two flat arrays.
     scratch_rx_.clear();
     scratch_slot_.clear();
     scratch_gain_dbm_.clear();
@@ -678,41 +690,6 @@ void Channel::start_transmission(Radio& sender,
                                         PowerDbm{scratch_gain_dbm_[i]},
                                         scratch_interf_[i]});
     }
-  } else if (tx->cached && sparse_mode_) {
-    for (const SparseLink& link : sparse_rows_[tx->sender_index]) {
-      if (!link.candidate) continue;
-      Radio* r = radios_[link.receiver];
-      if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-      // A sleeping receiver (LPL between channel samples) hears nothing.
-      if (!r->listening()) continue;
-      // Half-duplex: a radio mid-transmission cannot hear this packet.
-      if (r->transmitting_until() > now) continue;
-
-      double interference_mw = 0.0;
-      for (const ActiveTx* other : active_) {
-        if (other->sender == nullptr || other->end <= now) continue;
-        interference_mw += interference_term(*other, link.receiver, *r);
-      }
-      tx->receivers.push_back(PendingRx{r, link.receiver,
-                                        PowerDbm{link.gain_dbm},
-                                        interference_mw});
-    }
-  } else if (tx->cached) {
-    const double* row_dbm = &gain_dbm_[tx->sender_index * n_];
-    for (const std::uint32_t ri : candidates_[tx->sender_index]) {
-      Radio* r = radios_[ri];
-      if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-      if (!r->listening()) continue;
-      if (r->transmitting_until() > now) continue;
-
-      double interference_mw = 0.0;
-      for (const ActiveTx* other : active_) {
-        if (other->sender == nullptr || other->end <= now) continue;
-        interference_mw += interference_term(*other, ri, *r);
-      }
-      tx->receivers.push_back(
-          PendingRx{r, ri, PowerDbm{row_dbm[ri]}, interference_mw});
-    }
   } else {
     for (Radio* r : radios_) {
       if (r == nullptr || r == &sender) continue;
@@ -739,11 +716,11 @@ void Channel::start_transmission(Radio& sender,
   // This transmission interferes with every reception already in flight:
   // the per-receiver accumulators are maintained incrementally, never
   // rescanned.
-  if (phy_.use_batch_kernels && tx->cached && !sparse_mode_) {
-    // Batch back-substitution: the new sender's dense row holds every
-    // term this pass can produce, so hoist the row base and add
-    // straight from it — the same doubles, the same (other, receiver)
-    // nesting order, minus the per-pair dispatch the scalar loop pays.
+  if (tx->cached && !sparse_mode_) {
+    // The new sender's dense row holds every term this pass can produce,
+    // so hoist the row base and add straight from it — the same doubles,
+    // the same (other, receiver) nesting order, minus the per-pair
+    // dispatch of interference_term.
     const double* row_mw = &gain_mw_[tx->sender_index * n_];
     for (ActiveTx* other : active_) {
       if (other->end <= now) continue;
@@ -824,140 +801,70 @@ void Channel::finish_transmission(ActiveTx* tx) {
   const std::size_t frame_bytes = tx->frame.size() + phy_.phy_overhead_bytes;
 
   // While the cache is frozen, every pending receiver_index is a live
-  // slot (rebuild_cache remaps in-flight receptions), so the delivery
-  // loop can read the precomputed noise terms instead of re-deriving
-  // them per reception.
-  const bool cached_noise = phy_.use_link_cache && cache_valid_;
+  // slot (rebuild_cache remaps in-flight receptions), so pass A can read
+  // the precomputed noise terms and PRR memo. Otherwise — the per-pair
+  // path, or an attach past the slot peak while this frame was in the
+  // air — it derives the noise from the radio and skips the memo.
+  const bool frozen = phy_.use_link_cache && cache_valid_;
 
-  if (phy_.use_batch_kernels && cached_noise) {
-    // Batch delivery: pass A computes every receiver's SINR and PRR
-    // into contiguous scratch arrays (memo hits served in place, the
-    // misses funneled through Modulation::prr_batch in row order); pass
-    // B then replays the exact scalar control flow — half-duplex check,
-    // fault draw, reception draw, burst draw, corrupt delivery, LQI —
-    // consuming the precomputed values. PRR evaluation draws no RNG and
-    // distinct receivers own distinct memo slots, so hoisting it out of
-    // the sequential loop (including for receivers pass B skips) leaves
-    // every random draw and every delivered byte bitwise unchanged.
-    const std::size_t m = tx->receivers.size();
-    scratch_sinr_.resize(m);
-    scratch_prr_.resize(m);
-    scratch_miss_.clear();
-    scratch_miss_sinr_.clear();
-    scratch_miss_pi_.clear();
-    scratch_miss_link_.clear();
-    for (std::size_t i = 0; i < m; ++i) {
-      const PendingRx& rx = tx->receivers[i];
-      if (rx.interference_mw == 0.0) {
-        const double sinr_db =
-            rx.rx_power.value() - noise_dbm_[rx.receiver_index];
-        scratch_sinr_[i] = sinr_db;
-        if (sparse_mode_) {
-          SparseLink* link =
-              tx->cached ? find_link(tx->sender_index, rx.receiver_index)
-                         : nullptr;
-          if (link != nullptr && link->gain_dbm == rx.rx_power.value()) {
-            if (link->prr_bytes == frame_bytes) {
-              scratch_prr_[i] = link->prr_val;
-              continue;
-            }
-            scratch_miss_link_.push_back(link);  // memoize after the batch
-          } else {
-            scratch_miss_link_.push_back(nullptr);
-          }
-        } else {
-          const std::size_t pi =
-              tx->cached ? tx->sender_index * n_ + rx.receiver_index : 0;
-          if (tx->cached && gain_dbm_[pi] == rx.rx_power.value()) {
-            if (prr_bytes_[pi] == frame_bytes) {
-              scratch_prr_[i] = prr_val_[pi];
-              continue;
-            }
-            scratch_miss_pi_.push_back(pi);  // memoize after the batch
-          } else {
-            scratch_miss_pi_.push_back(kNoMemoSlot);
-          }
-        }
-      } else {
-        scratch_sinr_[i] =
-            rx.rx_power.value() -
-            PowerDbm::from_milliwatts(noise_mw_[rx.receiver_index] +
-                                      rx.interference_mw)
-                .value();
-        if (sparse_mode_) {
-          scratch_miss_link_.push_back(nullptr);
-        } else {
-          scratch_miss_pi_.push_back(kNoMemoSlot);
-        }
-      }
-      scratch_miss_.push_back(static_cast<std::uint32_t>(i));
-      scratch_miss_sinr_.push_back(scratch_sinr_[i]);
-    }
-
-    scratch_miss_prr_.resize(scratch_miss_.size());
-    {
-      sim::PhaseTimer kernel_timer{sim_.telemetry(),
-                                   sim::ProfilePhase::kBatchKernel};
-      modulation_.prr_batch(scratch_miss_sinr_, frame_bytes,
-                            scratch_miss_prr_);
-    }
-    for (std::size_t j = 0; j < scratch_miss_.size(); ++j) {
-      const double prr = scratch_miss_prr_[j];
-      scratch_prr_[scratch_miss_[j]] = prr;
-      if (sparse_mode_) {
-        if (SparseLink* link = scratch_miss_link_[j]) {
-          link->prr_bytes = static_cast<std::uint32_t>(frame_bytes);
-          link->prr_val = prr;
-        }
-      } else if (scratch_miss_pi_[j] != kNoMemoSlot) {
-        prr_bytes_[scratch_miss_pi_[j]] =
-            static_cast<std::uint32_t>(frame_bytes);
-        prr_val_[scratch_miss_pi_[j]] = prr;
-      }
-    }
-
-    for (std::size_t i = 0; i < m; ++i) {
-      const PendingRx& rx = tx->receivers[i];
-      Radio& r = *rx.receiver;
-      if (r.transmitting_until() > tx->start) continue;
-
-      if (!link_faults_.empty()) {
-        const auto fault =
-            link_faults_.find(link_key(tx->sender->id(), r.id()));
-        if (fault != link_faults_.end() &&
-            reception_rng_.bernoulli(fault->second)) {
-          continue;
-        }
-      }
-
-      const double sinr_db = scratch_sinr_[i];
-      if (!reception_rng_.bernoulli(scratch_prr_[i])) {
-        deliver_corrupt(r, *tx, rx, sinr_db);
+  // Pass A computes every receiver's SINR and PRR into contiguous
+  // scratch arrays (memo hits served in place, the misses funneled
+  // through Modulation::prr_batch in row order); pass B then runs the
+  // sequential control flow — half-duplex check, fault draw, reception
+  // draw, burst draw, corrupt delivery, LQI — consuming the precomputed
+  // values. PRR evaluation draws no RNG and distinct receivers own
+  // distinct memo slots, so hoisting it out of the sequential loop
+  // (including for receivers pass B skips) leaves every random draw and
+  // every delivered byte bitwise unchanged.
+  const std::size_t m = tx->receivers.size();
+  scratch_sinr_.resize(m);
+  scratch_prr_.resize(m);
+  scratch_miss_.clear();
+  scratch_miss_sinr_.clear();
+  scratch_miss_memo_.clear();
+  for (std::size_t i = 0; i < m; ++i) {
+    const PendingRx& rx = tx->receivers[i];
+    PrrMemo memo;
+    if (frozen && rx.interference_mw == 0.0) {
+      // noise_dbm_ is from_milliwatts(noise_mw_), the same double the
+      // general formula below yields with zero interference.
+      scratch_sinr_[i] = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
+      // Interference-free PRR is a pure function of (pair gain, frame
+      // size), so it is served from the sender's memo when it has one.
+      if (tx->cached) memo = prr_memo(*tx, rx);
+      if (memo.bytes != nullptr && *memo.bytes == frame_bytes) {
+        scratch_prr_[i] = *memo.val;
         continue;
       }
-
-      const double burst =
-          interference_->destroy_probability(r.id(), tx->start, tx->end);
-      if (burst > 0.0 && reception_rng_.bernoulli(burst)) {
-        deliver_corrupt(r, *tx, rx, sinr_db);
-        continue;
-      }
-
-      const double snr_thermal = (rx.rx_power - r.noise_floor()).value();
-      RxInfo info;
-      info.rssi = rx.rx_power;
-      info.snr_db = snr_thermal;
-      info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
-      info.white = white_bit(info);
-      info.fcs_ok = true;
-      r.deliver(tx->frame, info);
+    } else {
+      const double noise_mw = frozen ? noise_mw_[rx.receiver_index]
+                                     : rx.receiver->noise_floor().milliwatts();
+      scratch_sinr_[i] =
+          rx.rx_power.value() -
+          PowerDbm::from_milliwatts(noise_mw + rx.interference_mw).value();
     }
-
-    release_tx(tx);
-    return;
+    scratch_miss_.push_back(static_cast<std::uint32_t>(i));
+    scratch_miss_sinr_.push_back(scratch_sinr_[i]);
+    scratch_miss_memo_.push_back(memo);  // written back after the batch
   }
 
-  for (const PendingRx& rx : tx->receivers) {
+  scratch_miss_prr_.resize(scratch_miss_.size());
+  {
+    sim::PhaseTimer kernel_timer{sim_.telemetry(),
+                                 sim::ProfilePhase::kBatchKernel};
+    modulation_.prr_batch(scratch_miss_sinr_, frame_bytes, scratch_miss_prr_);
+  }
+  for (std::size_t j = 0; j < scratch_miss_.size(); ++j) {
+    const double prr = scratch_miss_prr_[j];
+    scratch_prr_[scratch_miss_[j]] = prr;
+    if (const PrrMemo memo = scratch_miss_memo_[j]; memo.bytes != nullptr) {
+      *memo.bytes = static_cast<std::uint32_t>(frame_bytes);
+      *memo.val = prr;
+    }
+  }
+
+  for (std::size_t i = 0; i < m; ++i) {
+    const PendingRx& rx = tx->receivers[i];
     Radio& r = *rx.receiver;
     // The receiver may have begun transmitting after this packet started
     // (its CSMA lost the race); half-duplex kills the reception.
@@ -974,54 +881,8 @@ void Channel::finish_transmission(ActiveTx* tx) {
       }
     }
 
-    double sinr_db;
-    double prr;
-    if (cached_noise && rx.interference_mw == 0.0) {
-      sinr_db = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
-      // Interference-free PRR is a pure function of (pair gain, frame
-      // size) — served from the per-pair memo when the sender has a
-      // cache row and the row still holds the gain this reception was
-      // computed with (a mid-flight tx-power change re-derives the row,
-      // and in-flight frames keep their old power). Zeroed size = empty.
-      if (sparse_mode_) {
-        SparseLink* link =
-            tx->cached ? find_link(tx->sender_index, rx.receiver_index)
-                       : nullptr;
-        if (link != nullptr && link->gain_dbm == rx.rx_power.value()) {
-          if (link->prr_bytes == frame_bytes) {
-            prr = link->prr_val;
-          } else {
-            prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-            link->prr_bytes = static_cast<std::uint32_t>(frame_bytes);
-            link->prr_val = prr;
-          }
-        } else {
-          prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-        }
-      } else {
-        const std::size_t pi =
-            tx->cached ? tx->sender_index * n_ + rx.receiver_index : 0;
-        if (tx->cached && gain_dbm_[pi] == rx.rx_power.value()) {
-          if (prr_bytes_[pi] == frame_bytes) {
-            prr = prr_val_[pi];
-          } else {
-            prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-            prr_bytes_[pi] = static_cast<std::uint32_t>(frame_bytes);
-            prr_val_[pi] = prr;
-          }
-        } else {
-          prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-        }
-      }
-    } else {
-      const double noise_mw = cached_noise ? noise_mw_[rx.receiver_index]
-                                           : r.noise_floor().milliwatts();
-      sinr_db =
-          rx.rx_power.value() -
-          PowerDbm::from_milliwatts(noise_mw + rx.interference_mw).value();
-      prr = modulation_.packet_reception_ratio(sinr_db, frame_bytes);
-    }
-    if (!reception_rng_.bernoulli(prr)) {
+    const double sinr_db = scratch_sinr_[i];
+    if (!reception_rng_.bernoulli(scratch_prr_[i])) {
       deliver_corrupt(r, *tx, rx, sinr_db);
       continue;
     }
@@ -1037,8 +898,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
 
     // LQI reflects the thermal-only SNR of this (successfully received)
     // packet.
-    const double snr_thermal =
-        (rx.rx_power - r.noise_floor()).value();
+    const double snr_thermal = (rx.rx_power - r.noise_floor()).value();
     RxInfo info;
     info.rssi = rx.rx_power;
     info.snr_db = snr_thermal;

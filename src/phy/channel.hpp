@@ -11,20 +11,23 @@
 // is the physical effect the paper's white bit (and MultiHopLQI's
 // failure mode) hinges on.
 //
-// Two execution paths compute that model:
-//   * slow path — per-pair propagation-loss hash lookups, every radio
-//     scanned per transmission. The reference implementation.
-//   * fast path (PhyConfig::use_link_cache, default) — positions, tx
-//     powers and shadowing are static per trial, so on topology freeze
-//     the channel precomputes a flat N x N rx-power matrix (dBm and
-//     milliwatts) plus per-sender culled neighbor lists: reception
-//     candidates (pairs above noise_floor + reception_cutoff_margin) and
-//     a CCA-audible bitset. start_transmission then iterates O(degree)
-//     and busy_at tests precomputed bits. The cached doubles are the
-//     exact values the slow path computes, and candidates are visited in
-//     the same order, so RNG draw sequences — and therefore all metrics —
-//     are bit-identical between paths (tests/channel_fastpath_test.cpp).
-//   * sparse fast path (PhyConfig::use_spatial_index on top of the link
+// Three representations feed that model:
+//   * slow path (PhyConfig::use_link_cache = false) — per-pair
+//     propagation-loss hash lookups, every radio scanned per
+//     transmission. The reference the delivery-digest tests compare
+//     against; with the cache on, only a detached-but-alive sender (no
+//     cache slot) still scans per pair.
+//   * dense link cache (default) — positions, tx powers and shadowing
+//     are static per trial, so on topology freeze the channel
+//     precomputes a flat N x N rx-power matrix (dBm and milliwatts) plus
+//     per-sender culled neighbor lists: reception candidates (pairs
+//     above noise_floor + reception_cutoff_margin) and a CCA-audible
+//     bitset. start_transmission then iterates O(degree) and busy_at
+//     tests precomputed bits. The cached doubles are the exact values
+//     the slow path computes, and candidates are visited in the same
+//     order, so RNG draw sequences — and therefore all metrics — are
+//     bit-identical between paths (tests/channel_fastpath_test.cpp).
+//   * sparse rows (PhyConfig::use_spatial_index on top of the link
 //     cache) — the freeze bins radios into a uniform grid whose cell
 //     size is a conservative receive-floor radius, then stores per
 //     sender only the links above the reception or CCA floor as a
@@ -33,6 +36,15 @@
 //     O(N²); interference from senders outside a receiver's row falls
 //     back to the per-pair computation, so sums stay bit-identical
 //     (tests/channel_sparse_test.cpp).
+//
+// One set of kernels serves all three. start_transmission gathers a
+// cached sender's candidates into contiguous arrays and accumulates
+// interference outer over the active transmissions; finish_transmission
+// computes every receiver's SINR and PRR in one pass (misses batched
+// through Modulation::prr_batch, interference-free pairs served from a
+// per-pair memo while the cache is frozen) before the sequential pass
+// that draws the RNG. Every sum adds the same terms in the same order,
+// so results never depend on which representation is active.
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
 // it (repairing only the touched rows/cells when a cache is frozen), so
@@ -292,6 +304,16 @@ class Channel {
                                             std::uint32_t receiver) const;
   [[nodiscard]] SparseLink* find_link(std::size_t sender,
                                       std::uint32_t receiver);
+  /// One pair's PRR memo entry (dense prr_bytes_/prr_val_ or a sparse
+  /// link's fields); null when there is none to trust.
+  struct PrrMemo {
+    std::uint32_t* bytes = nullptr;  // last frame size (0 = empty)
+    double* val = nullptr;
+  };
+  /// The memo slot of cached sender `tx` for reception `rx`, or null
+  /// when the pair has no stored link or its gain no longer matches the
+  /// power the reception captured. Requires a frozen cache.
+  [[nodiscard]] PrrMemo prr_memo(const ActiveTx& tx, const PendingRx& rx);
   /// Interference term of active transmission `other` at receiver `r`
   /// (slot `ri`): cached gain when available, per-pair fallback
   /// otherwise — same double either way.
@@ -327,11 +349,11 @@ class Channel {
   std::vector<ActiveTx*> tx_pool_;
   std::vector<ActiveTx*> tx_free_;  // recycled objects
 
-  // Batch-kernel scratch (PhyConfig::use_batch_kernels): candidate
-  // gather arrays for start_transmission and SINR/PRR arrays for the
-  // delivery pass. Members so their capacity persists across calls;
-  // the two sets are disjoint because a delivery handler may
-  // synchronously start a new transmission.
+  // Batch-kernel scratch: candidate gather arrays for
+  // start_transmission and SINR/PRR arrays for the delivery pass.
+  // Members so their capacity persists across calls; the two sets are
+  // disjoint because a delivery handler may synchronously start a new
+  // transmission.
   std::vector<Radio*> scratch_rx_;
   std::vector<std::uint32_t> scratch_slot_;
   std::vector<double> scratch_gain_dbm_;
@@ -341,10 +363,7 @@ class Channel {
   std::vector<std::uint32_t> scratch_miss_;  // receiver rows needing a PRR
   std::vector<double> scratch_miss_sinr_;
   std::vector<double> scratch_miss_prr_;
-  // Memo write-back slots for batch misses: dense pair index (or npos),
-  // sparse link pointer (or nullptr).
-  std::vector<std::size_t> scratch_miss_pi_;
-  std::vector<SparseLink*> scratch_miss_link_;
+  std::vector<PrrMemo> scratch_miss_memo_;  // write-back slot per miss
   std::vector<std::uint8_t> corrupt_scratch_;  // deliver_corrupt buffer
 
   // Link cache (fast path): row-major [sender][receiver] rx power, both

@@ -55,17 +55,6 @@ struct PhyConfig {
   /// slow path survives as the reference for the determinism tests.
   bool use_link_cache = true;
 
-  /// Batch kernels (effective with use_link_cache): start_transmission
-  /// gathers candidate slots/gains into contiguous scratch arrays and
-  /// runs interference accumulation and SNR->PRR as fixed-order
-  /// structure-of-arrays loops instead of per-receiver scalar code.
-  /// Summation order and every double are bitwise identical to the
-  /// scalar path (the per-receiver interference sum still adds terms in
-  /// active-transmission order, and PRR goes through the same table and
-  /// pow), so flipping this changes speed, never results — enforced by
-  /// the delivery-digest tests.
-  bool use_batch_kernels = true;
-
   /// Sparse spatial channel (requires use_link_cache): instead of the
   /// dense N x N matrices, the freeze builds a uniform grid over node
   /// positions with cell size equal to a receive-floor radius — the

@@ -109,7 +109,7 @@ ExperimentResult run_experiment(ExperimentConfig config) {
   // unwinding: the telemetry context must never hold a dangling sink.
   std::unique_ptr<stats::JsonlExporter> exporter;
 
-  sim::Simulator sim{config.sim};
+  sim::Simulator sim;
   if (config.budget.limited()) sim.set_budget(config.budget);
   sim.telemetry().set_level(config.trace_level);
   if (config.profile_phases) sim.telemetry().set_profiling(true);

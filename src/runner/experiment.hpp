@@ -42,11 +42,6 @@ struct ExperimentConfig {
   bool track_energy = false;
   stats::EnergyConfig energy;
 
-  /// Simulator engine knobs (event-queue implementation, arena block
-  /// size). Every setting is bit-identity-neutral: trial results,
-  /// digests and exported telemetry are byte-identical across values.
-  sim::SimConfig sim;
-
   /// Cooperative watchdog for this trial: the simulator throws
   /// sim::BudgetExceededError once the event-count or wall-clock limit
   /// is exhausted (zero = unlimited). Campaign supervision classifies

@@ -33,10 +33,11 @@ class EventId {
 ///  * kCalendar (default): a classic calendar queue — buckets of
 ///    sorted intrusive lists indexed by (time / width) mod buckets,
 ///    self-resizing bucket count and width, O(1) amortized schedule /
-///    pop / cancel. The fast path for steady event rates.
+///    pop / cancel. The only queue the Simulator builds.
 ///  * kHeap: a binary heap over the same node slab — O(log n) but
-///    distribution-insensitive. Retained as the reference path for
-///    bit-identity cross-checks (see SimConfig::use_calendar_queue).
+///    distribution-insensitive. Kept only as the reference the
+///    randomized equivalence test and the queue benchmarks compare the
+///    calendar against.
 ///
 /// Both implementations pop in identical (time, seq) order: ties in
 /// time break by insertion order, so same-time events run FIFO — a

@@ -6,11 +6,7 @@
 
 namespace fourbit::sim {
 
-Simulator::Simulator(SimConfig config)
-    : config_(config),
-      arena_(config.arena_block_bytes),
-      queue_(config.use_calendar_queue ? EventQueue::Impl::kCalendar
-                                       : EventQueue::Impl::kHeap) {
+Simulator::Simulator() {
   telemetry_.bind_clock(&now_);
   queue_.set_resize_observer([this] {
     if (ctr_eq_resizes_ == nullptr) {

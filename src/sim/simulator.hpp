@@ -15,18 +15,6 @@
 
 namespace fourbit::sim {
 
-/// Kernel knobs for one Simulator (one trial). Every setting is
-/// bit-identity-neutral: flipping any of them changes wall-clock speed,
-/// never simulation results.
-struct SimConfig {
-  /// Calendar event queue (default) vs. the binary heap retained as the
-  /// reference path; both pop in identical (time, FIFO) order.
-  bool use_calendar_queue = true;
-  /// Block size of the per-trial monotonic arena that feeds frame
-  /// buffers, pending-receiver vectors, and transmission pools.
-  std::size_t arena_block_bytes = Arena::kDefaultBlockBytes;
-};
-
 /// Cooperative execution budget for one Simulator (one trial). Zero
 /// means unlimited. A campaign supervisor arms this so a wedged or
 /// runaway trial cancels itself instead of stalling the whole pool.
@@ -60,22 +48,20 @@ class BudgetExceededError : public std::runtime_error {
 /// relative to `now()`; the driver calls one of the run_* methods.
 class Simulator {
  public:
-  explicit Simulator(SimConfig config = {});
+  Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] Time now() const { return now_; }
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-
   /// Per-trial monotonic arena (see sim/arena.hpp). Components that
   /// live no longer than the Simulator allocate steady-state transients
   /// here; growth is tracked by the sim/arena_bytes gauge.
   [[nodiscard]] Arena& arena() { return arena_; }
 
-  /// Calendar-queue rebuilds so far (0 on the heap path); also exported
-  /// as the sim/eq_resizes counter.
+  /// Calendar-queue rebuilds so far; also exported as the
+  /// sim/eq_resizes counter.
   [[nodiscard]] std::uint64_t queue_resizes() const {
     return queue_.resizes();
   }
@@ -149,9 +135,12 @@ class Simulator {
   void execute_next();
   void check_budget() const;
 
-  SimConfig config_;
   Arena arena_;
-  EventQueue queue_;
+  // Cache-line aligned so the fields every schedule/pop touches sit on
+  // the same lines wherever the Simulator lands: left to the enclosing
+  // frame's layout, a 16-byte shift cost ~4 % of `lpl` throughput on a
+  // 4-vCPU Xeon VM (DESIGN.md §8.15).
+  alignas(64) EventQueue queue_;
   Time now_;
   TelemetryContext telemetry_;  // after now_: the bound clock must exist
   bool stopped_ = false;

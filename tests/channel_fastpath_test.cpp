@@ -64,30 +64,32 @@ struct Pump {
   DeliveryDigest digest;
   std::uint64_t deliveries = 0;
 
-  explicit Pump(bool fast, std::size_t n = 30, bool batch = true)
-      : channel(sim, make_phy(fast, batch), phy::PropagationConfig{},
+  explicit Pump(bool fast, std::size_t n = 30)
+      : channel(sim, make_phy(fast), phy::PropagationConfig{},
                 std::make_unique<phy::NullInterference>(), sim::Rng{99}) {
     for (std::size_t i = 0; i < n; ++i) {
       // 30 m grid pitch: every pair is inside the ~268 m reception range,
       // so culling keeps everyone and the interference paths get dense.
-      radios.push_back(std::make_unique<phy::Radio>(
-          channel, NodeId{static_cast<std::uint16_t>(i + 1)},
-          Position{static_cast<double>(i % 6) * 30.0,
-                   static_cast<double>(i / 6) * 30.0},
-          phy::HardwareProfile{}, PowerDbm{0.0}));
-      phy::Radio* r = radios.back().get();
-      r->set_rx_handler([this, r](std::span<const std::uint8_t> frame,
-                                  const phy::RxInfo& info) {
-        ++deliveries;
-        digest.on_delivery(r->id(), frame, info);
-      });
+      add_radio(NodeId{static_cast<std::uint16_t>(i + 1)},
+                Position{static_cast<double>(i % 6) * 30.0,
+                         static_cast<double>(i / 6) * 30.0});
     }
   }
 
-  static phy::PhyConfig make_phy(bool fast, bool batch = true) {
+  void add_radio(NodeId id, Position pos) {
+    radios.push_back(std::make_unique<phy::Radio>(
+        channel, id, pos, phy::HardwareProfile{}, PowerDbm{0.0}));
+    phy::Radio* r = radios.back().get();
+    r->set_rx_handler([this, r](std::span<const std::uint8_t> frame,
+                                const phy::RxInfo& info) {
+      ++deliveries;
+      digest.on_delivery(r->id(), frame, info);
+    });
+  }
+
+  static phy::PhyConfig make_phy(bool fast) {
     phy::PhyConfig phy;
     phy.use_link_cache = fast;
-    phy.use_batch_kernels = batch;
     return phy;
   }
 
@@ -136,20 +138,43 @@ TEST(ChannelFastPathTest, DeliveryStreamBitIdenticalToSlowPath) {
             slow.channel.frames_transmitted());
 }
 
-TEST(ChannelFastPathTest, BatchKernelsBitIdenticalToScalarLoops) {
-  // Same cached fast path, batch SoA kernels on vs off: the gathered
-  // interference passes and the span-based SNR→PRR batch must reproduce
-  // the scalar per-receiver loops bit for bit — every delivered byte,
-  // RSSI, SNR, LQI draw and corrupt-frame mangling identical.
-  Pump batch{true, 30, true};
-  Pump scalar{true, 30, false};
-  batch.run_rounds(8);
-  scalar.run_rounds(8);
-  EXPECT_GT(batch.deliveries, 0u);
-  EXPECT_EQ(batch.deliveries, scalar.deliveries);
-  EXPECT_EQ(batch.digest.h, scalar.digest.h);
-  EXPECT_EQ(batch.channel.frames_transmitted(),
-            scalar.channel.frames_transmitted());
+TEST(ChannelFastPathTest, FrameInFlightAcrossCacheInvalidationMatches) {
+  // Frames start on a frozen cache; before they finish, an attach past
+  // the slot peak invalidates it. Their delivery must then derive the
+  // noise from the radio and skip the PRR memo — and still match the
+  // slow path bit for bit. One isolated frame covers the
+  // interference-free case, six overlapping frames the interfered one.
+  auto run = [](bool fast) {
+    Pump p{fast, 12};
+    p.stagger_us = 2000;
+    p.run_rounds(2);  // freezes the cache and fills the PRR memo
+    std::uint16_t next_id = 100;
+    for (const std::size_t senders : {1u, 6u}) {
+      for (std::size_t i = 0; i < senders; ++i) {
+        p.sim.schedule_in(
+            sim::Duration::from_us(static_cast<std::int64_t>(i) * 100),
+            [&p, i] {
+              p.radios[i]->transmit(
+                  std::vector<std::uint8_t>(40, static_cast<std::uint8_t>(i)),
+                  nullptr);
+            });
+      }
+      // Mid-flight for every frame (~1.5 ms airtime each).
+      p.sim.schedule_in(sim::Duration::from_us(1000), [&p, &next_id] {
+        p.add_radio(NodeId{next_id}, Position{15.0, 15.0 + next_id});
+        ++next_id;
+      });
+      p.sim.run();
+      // Nothing rebuilt the cache before the frames finished.
+      EXPECT_FALSE(p.channel.link_cache_frozen());
+    }
+    p.run_rounds(2);  // and the rebuilt cache agrees afterwards
+    return std::pair{p.deliveries, p.digest.h};
+  };
+  const auto fast = run(true);
+  const auto slow = run(false);
+  EXPECT_GT(fast.first, 0u);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(ChannelFastPathTest, LinkOutageRespectedByCulledPath) {

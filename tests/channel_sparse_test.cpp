@@ -30,11 +30,10 @@ enum class Mode { kSlow, kDense, kSparse };
 
 constexpr Mode kAllModes[] = {Mode::kSlow, Mode::kDense, Mode::kSparse};
 
-phy::PhyConfig make_phy(Mode mode, bool batch = true) {
+phy::PhyConfig make_phy(Mode mode) {
   phy::PhyConfig phy;
   phy.use_link_cache = mode != Mode::kSlow;
   phy.use_spatial_index = mode == Mode::kSparse;
-  phy.use_batch_kernels = batch;
   return phy;
 }
 
@@ -76,8 +75,8 @@ struct Pump {
   DeliveryDigest digest;
   std::uint64_t deliveries = 0;
 
-  explicit Pump(Mode mode, std::size_t n = 30, bool batch = true)
-      : channel(sim, make_phy(mode, batch), phy::PropagationConfig{},
+  explicit Pump(Mode mode, std::size_t n = 30)
+      : channel(sim, make_phy(mode), phy::PropagationConfig{},
                 std::make_unique<phy::NullInterference>(), sim::Rng{99}) {
     for (std::size_t i = 0; i < n; ++i) {
       // Same geometry as the fast-path suite: 30 m pitch keeps every
@@ -156,16 +155,44 @@ TEST(ChannelSparseTest, DeliveryStreamBitIdenticalAcrossAllThreePaths) {
             slow.channel.frames_transmitted());
 }
 
-TEST(ChannelSparseTest, BatchKernelsBitIdenticalOnSparsePath) {
-  // Sparse rows feed the same SoA gather/batch-PRR kernels as the dense
-  // matrix; on vs off must not move a single bit of the delivery stream.
-  Pump batch{Mode::kSparse, 30, true};
-  Pump scalar{Mode::kSparse, 30, false};
-  batch.run_rounds(8);
-  scalar.run_rounds(8);
-  EXPECT_GT(batch.deliveries, 0u);
-  EXPECT_EQ(batch.deliveries, scalar.deliveries);
-  EXPECT_EQ(batch.digest.h, scalar.digest.h);
+TEST(ChannelSparseTest, FrameInFlightAcrossCacheInvalidationMatches) {
+  // Frames start on a frozen cache (dense or sparse); before they
+  // finish, an attach past the slot peak invalidates it. Their delivery
+  // must then derive the noise from the radio and skip the PRR memo —
+  // and still match the slow path bit for bit. One isolated frame covers
+  // the interference-free case, six overlapping frames the interfered
+  // one.
+  auto run = [](Mode mode) {
+    Pump p{mode, 12};
+    p.stagger_us = 2000;
+    p.run_rounds(2);  // freezes the cache and fills the PRR memo
+    std::size_t next = p.radios.size();
+    for (const std::size_t senders : {1u, 6u}) {
+      for (std::size_t i = 0; i < senders; ++i) {
+        p.sim.schedule_in(
+            sim::Duration::from_us(static_cast<std::int64_t>(i) * 100),
+            [&p, i] {
+              p.radios[i]->transmit(
+                  std::vector<std::uint8_t>(40, static_cast<std::uint8_t>(i)),
+                  nullptr);
+            });
+      }
+      // Mid-flight for every frame (~1.5 ms airtime each).
+      p.sim.schedule_in(sim::Duration::from_us(1000), [&p, &next] {
+        p.add_radio_at(next, Position{15.0, 15.0 + static_cast<double>(next)});
+        ++next;
+      });
+      p.sim.run();
+      // Nothing rebuilt the cache before the frames finished.
+      EXPECT_FALSE(p.channel.link_cache_frozen());
+    }
+    p.run_rounds(2);  // and the rebuilt cache agrees afterwards
+    return std::pair{p.deliveries, p.digest.h};
+  };
+  const auto slow = run(Mode::kSlow);
+  EXPECT_GT(slow.first, 0u);
+  EXPECT_EQ(run(Mode::kDense), slow);
+  EXPECT_EQ(run(Mode::kSparse), slow);
 }
 
 TEST(ChannelSparseTest, LinkOutageBitIdenticalAcrossPaths) {

@@ -173,6 +173,8 @@ TEST_P(EventQueueImplTest, WideTimeRangeStaysOrdered) {
 
 // The two implementations must produce identical pop sequences — same
 // times, same FIFO ranks — under a randomized schedule/cancel/pop storm.
+// Every event carries a tag its callback reports, so two same-time
+// events swapped under cancel churn fail the check.
 TEST(EventQueueEquivalenceTest, RandomizedOperationsMatchHeapExactly) {
   Rng rng{20260809};
   EventQueue heap{EventQueue::Impl::kHeap};
@@ -183,7 +185,15 @@ TEST(EventQueueEquivalenceTest, RandomizedOperationsMatchHeapExactly) {
   // in both queues.
   std::vector<std::pair<EventId, EventId>> live;
   std::int64_t now_us = 0;   // pops advance the clock; schedules are >= now
-  int scheduled_tag = 0;
+  int next_tag = 0;
+  int heap_fired = -1;
+  int cal_fired = -1;
+  const auto fire_both = [&](EventQueue::Popped& a, EventQueue::Popped& b) {
+    heap_fired = cal_fired = -1;
+    a.callback();
+    b.callback();
+    return heap_fired == cal_fired && heap_fired >= 0;
+  };
 
   for (int step = 0; step < 20000; ++step) {
     const double roll = rng.uniform();
@@ -192,10 +202,14 @@ TEST(EventQueueEquivalenceTest, RandomizedOperationsMatchHeapExactly) {
       // are common (FIFO order is the hard part).
       const std::int64_t t =
           now_us + static_cast<std::int64_t>(rng.uniform_int(64));
-      const int tag = scheduled_tag++;
-      (void)tag;
-      live.emplace_back(heap.schedule(Time::from_us(t), [] {}),
-                        cal.schedule(Time::from_us(t), [] {}));
+      const int tag = next_tag++;
+      live.emplace_back(
+          heap.schedule(Time::from_us(t), [&heap_fired, tag] {
+            heap_fired = tag;
+          }),
+          cal.schedule(Time::from_us(t), [&cal_fired, tag] {
+            cal_fired = tag;
+          }));
     } else if (roll < 0.70 && !live.empty()) {
       const std::size_t pick = rng.uniform_int(live.size());
       heap.cancel(live[pick].first);
@@ -204,15 +218,16 @@ TEST(EventQueueEquivalenceTest, RandomizedOperationsMatchHeapExactly) {
     } else if (!heap.empty()) {
       ASSERT_FALSE(cal.empty());
       ASSERT_EQ(heap.next_time().us(), cal.next_time().us());
-      const auto from_heap = heap.pop();
-      const auto from_cal = cal.pop();
+      auto from_heap = heap.pop();
+      auto from_cal = cal.pop();
       ASSERT_EQ(from_heap.time.us(), from_cal.time.us())
           << "diverged at step " << step;
+      ASSERT_TRUE(fire_both(from_heap, from_cal))
+          << "popped tags " << heap_fired << " vs " << cal_fired
+          << " at step " << step;
       now_us = from_heap.time.us();
-      // Remove the popped event from the live set (it is whichever
-      // entry's heap id no longer cancels — cheaper: scan and drop the
-      // first entry whose cancel is now a no-op is O(n); instead rely
-      // on generation checks making stale cancels harmless).
+      // Popped events stay in `live`: cancelling one later is a stale
+      // handle, which the generation check makes a no-op on both sides.
     }
     ASSERT_EQ(heap.size(), cal.size()) << "size diverged at step " << step;
   }
@@ -220,9 +235,11 @@ TEST(EventQueueEquivalenceTest, RandomizedOperationsMatchHeapExactly) {
   // Drain: full remaining sequences must match.
   while (!heap.empty()) {
     ASSERT_FALSE(cal.empty());
-    const auto a = heap.pop();
-    const auto b = cal.pop();
+    auto a = heap.pop();
+    auto b = cal.pop();
     ASSERT_EQ(a.time.us(), b.time.us());
+    ASSERT_TRUE(fire_both(a, b))
+        << "popped tags " << heap_fired << " vs " << cal_fired;
   }
   EXPECT_TRUE(cal.empty());
 }
