@@ -5,6 +5,8 @@
 // PRR model lookups, and a full small-network simulation step rate.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -20,6 +22,7 @@
 #include "phy/hardware.hpp"
 #include "phy/interference.hpp"
 #include "phy/modulation.hpp"
+#include "phy/propagation.hpp"
 #include "phy/radio.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -325,6 +328,102 @@ void BM_PrrBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_PrrBatch)->Arg(16)->Arg(64)->Arg(256);
+
+/// Far-field pairs as the sparse channel meets them: random ids over the
+/// 16-bit space and random positions on a 10 km square. A power-of-two
+/// pool, cycled, so the pair loop's index is a mask.
+constexpr std::size_t kPropagationPairs = 4096;
+struct PropagationPairs {
+  std::vector<NodeId> from, to;
+  std::vector<Position> from_pos, to_pos;
+};
+PropagationPairs propagation_pairs() {
+  PropagationPairs p;
+  sim::Rng rng{2026};
+  const auto id = [&] {
+    return NodeId{static_cast<std::uint16_t>(1 + rng.uniform_int(0xFFFE))};
+  };
+  for (std::size_t i = 0; i < kPropagationPairs; ++i) {
+    p.from.push_back(id());
+    p.to.push_back(id());
+    p.from_pos.push_back({rng.uniform(0.0, 1e4), rng.uniform(0.0, 1e4)});
+    p.to_pos.push_back({rng.uniform(0.0, 1e4), rng.uniform(0.0, 1e4)});
+  }
+  return p;
+}
+
+/// One far-field interference term, the per-pair cost the sparse channel
+/// pays off its stored rows: path loss with both forked shadowing draws,
+/// then the milliwatt conversion.
+void BM_PropagationPair(benchmark::State& state) {
+  const phy::PropagationModel model{phy::PropagationConfig{}, sim::Rng{7}};
+  const PropagationPairs p = propagation_pairs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Decibels loss =
+        model.loss_uncached(p.from[i], p.from_pos[i], p.to[i], p.to_pos[i]);
+    benchmark::DoNotOptimize((PowerDbm{0.0} - loss).milliwatts());
+    i = (i + 1) & (kPropagationPairs - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PropagationPair);
+
+/// The per-pair composition PropagationModel's fused kernel replaced:
+/// two forked child generators, each running a full Box–Muller draw whose
+/// sine half is cached and never read. Kept only as the reference the
+/// fused path is gated against.
+double fork_normal_loss(const sim::Rng& rng, const phy::PropagationConfig& cfg,
+                        NodeId from, const Position& from_pos, NodeId to,
+                        const Position& to_pos) {
+  const auto key = [](NodeId a, NodeId b) {
+    return static_cast<std::uint32_t>(a.value()) << 16 | b.value();
+  };
+  const double d = std::max(distance_m(from_pos, to_pos), 0.5);
+  const double deterministic =
+      cfg.reference_loss.value() + 10.0 * cfg.exponent * std::log10(d);
+  const double shadowing =
+      rng.fork(key(std::min(from, to), std::max(from, to)))
+          .normal(0.0, cfg.shadowing_sigma_db);
+  const double directional =
+      rng.fork(key(from, to) ^ 0x9E3779B9U).normal(0.0, cfg.asymmetry_sigma_db);
+  return deterministic + shadowing + directional;
+}
+
+void BM_PropagationPairForkNormal(benchmark::State& state) {
+  const phy::PropagationConfig cfg;
+  const sim::Rng rng{7};
+  const PropagationPairs p = propagation_pairs();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double loss = fork_normal_loss(rng, cfg, p.from[i], p.from_pos[i],
+                                         p.to[i], p.to_pos[i]);
+    benchmark::DoNotOptimize(PowerDbm{0.0 - loss}.milliwatts());
+    i = (i + 1) & (kPropagationPairs - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PropagationPairForkNormal);
+
+/// One sender's far-field terms at arg receivers through
+/// PropagationModel::gain_mw_batch, as one frame's interference pass
+/// issues it. Compare the per-item rate against BM_PropagationPair.
+void BM_PropagationGainBatch(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  phy::PropagationModel model{phy::PropagationConfig{}, sim::Rng{7}};
+  const PropagationPairs p = propagation_pairs();
+  std::vector<phy::PropagationModel::Receiver> to;
+  for (std::size_t i = 0; i < n; ++i) to.push_back({p.to[i], p.to_pos[i]});
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    model.gain_mw_batch(p.from[0], p.from_pos[0], 0.0, to, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_PropagationGainBatch)->Arg(64)->Arg(1024);
 
 /// N radios on a grid; args = {node count, use_link_cache}. Measures one
 /// full transmit -> deliver cycle, the channel's dominant cost. The

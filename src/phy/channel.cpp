@@ -116,6 +116,40 @@ PowerDbm Channel::rx_power_uncached(const Radio& from, const Radio& to) const {
   return from.effective_tx_power() - loss;
 }
 
+// --- one sender, many receivers -------------------------------------
+
+void Channel::clear_batch() {
+  batch_rx_.clear();
+  batch_target_.clear();
+}
+
+// Inline: the far-field gathers call this once per pair off a stored
+// row, about 1,400 times per frame at N=10k.
+inline void Channel::push_batch(const Radio& receiver, std::uint32_t slot,
+                                double* acc) {
+  batch_rx_.push_back({receiver.id(), receiver.position()});
+  batch_target_.push_back({acc, slot});
+}
+
+std::span<const double> Channel::batch_rx_dbm(const Radio& sender) {
+  batch_out_.resize(batch_rx_.size());
+  propagation_.rx_dbm_batch(sender.id(), sender.position(),
+                            sender.effective_tx_power().value(), batch_rx_,
+                            batch_out_);
+  return batch_out_;
+}
+
+void Channel::add_batch_interference(const Radio& sender) {
+  if (batch_rx_.empty()) return;
+  batch_out_.resize(batch_rx_.size());
+  propagation_.gain_mw_batch(sender.id(), sender.position(),
+                             sender.effective_tx_power().value(), batch_rx_,
+                             batch_out_);
+  for (std::size_t j = 0; j < batch_out_.size(); ++j) {
+    *batch_target_[j].acc += batch_out_[j];
+  }
+}
+
 double Channel::snr_db(const Radio& from, const Radio& to) {
   return (rx_power(from, to) - to.noise_floor()).value();
 }
@@ -206,19 +240,22 @@ void Channel::rebuild_row(std::size_t s) {
   std::fill(&prr_bytes_[s * n_], &prr_bytes_[s * n_] + n_, 0);
   cands.clear();
   if (sender_p == nullptr) return;  // tombstoned slot: empty row
-  Radio& sender = *sender_p;
-  double* row_dbm = &gain_dbm_[s * n_];
-  double* row_mw = &gain_mw_[s * n_];
+  clear_batch();
   for (std::size_t r = 0; r < n_; ++r) {
     if (r == s || radios_[r] == nullptr) continue;
-    // Exactly the slow path's arithmetic: cached doubles must equal what
-    // rx_power() would compute, or the paths diverge bitwise.
-    const PowerDbm p = rx_power_uncached(sender, *radios_[r]);
+    push_batch(*radios_[r], static_cast<std::uint32_t>(r));
+  }
+  // Exactly the slow path's arithmetic: cached doubles must equal what
+  // rx_power() would compute, or the paths diverge bitwise.
+  const std::span<const double> rx_dbm = batch_rx_dbm(*sender_p);
+  double* row_dbm = &gain_dbm_[s * n_];
+  double* row_mw = &gain_mw_[s * n_];
+  for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
+    const std::uint32_t r = batch_target_[j].slot;
+    const PowerDbm p{rx_dbm[j]};
     row_dbm[r] = p.value();
     row_mw[r] = p.milliwatts();
-    if (p.value() >= rx_cutoff_dbm_[r]) {
-      cands.push_back(static_cast<std::uint32_t>(r));
-    }
+    if (p.value() >= rx_cutoff_dbm_[r]) cands.push_back(r);
     if (p >= phy_.cca_threshold) {
       cca_row[r / 64] |= std::uint64_t{1} << (r % 64);
     }
@@ -323,13 +360,17 @@ void Channel::rebuild_sparse_row(std::size_t s) {
   row.clear();
   Radio* sender_p = radios_[s];
   if (sender_p == nullptr) return;
-  Radio& sender = *sender_p;
+  clear_batch();
   for_each_neighbor_slot(slot_cell_[s], [&](std::uint32_t r) {
-    if (r == s) return;
-    const PowerDbm p = rx_power_uncached(sender, *radios_[r]);
+    if (r != s) push_batch(*radios_[r], r);
+  });
+  const std::span<const double> rx_dbm = batch_rx_dbm(*sender_p);
+  for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
+    const std::uint32_t r = batch_target_[j].slot;
+    const PowerDbm p{rx_dbm[j]};
     const bool cand = p.value() >= rx_cutoff_dbm_[r];
     const bool audible = p >= phy_.cca_threshold;
-    if (!cand && !audible) return;
+    if (!cand && !audible) continue;
     SparseLink link;
     link.receiver = r;
     link.gain_dbm = p.value();
@@ -337,7 +378,7 @@ void Channel::rebuild_sparse_row(std::size_t s) {
     link.candidate = cand;
     link.audible = audible;
     row.push_back(link);
-  });
+  }
   // Ascending slot order == the attach order the dense and slow paths
   // visit, so RNG draw sequences stay bit-identical.
   std::sort(row.begin(), row.end(),
@@ -386,6 +427,12 @@ void Channel::repair_sparse_link(std::size_t s, std::size_t r) {
 const Channel::SparseLink* Channel::find_link(std::size_t sender,
                                               std::uint32_t receiver) const {
   const auto& row = sparse_rows_[sender];
+  // Far-field pairs, nearly every lookup at large N, usually fall outside
+  // the row's slot range; settle those without the binary search.
+  if (row.empty() || receiver < row.front().receiver ||
+      receiver > row.back().receiver) {
+    return nullptr;
+  }
   const auto it = std::lower_bound(
       row.begin(), row.end(), receiver,
       [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
@@ -668,19 +715,33 @@ void Channel::start_transmission(Radio& sender,
     }
     const std::size_t m = scratch_rx_.size();
     scratch_interf_.assign(m, 0.0);
+    double* acc = scratch_interf_.data();
+    const std::uint32_t* slots = scratch_slot_.data();
     for (const ActiveTx* other : active_) {
       if (other->sender == nullptr || other->end <= now) continue;
       if (other->cached && !sparse_mode_) {
         const double* row_mw = &gain_mw_[other->sender_index * n_];
-        double* acc = scratch_interf_.data();
-        const std::uint32_t* slots = scratch_slot_.data();
         for (std::size_t i = 0; i < m; ++i) {
           acc[i] += row_mw[slots[i]];
         }
+      } else if (other->cached) {
+        // Stored links add their cached gain; the far-field pairs off
+        // the interferer's row go through one propagation batch. Each
+        // accumulator takes exactly one term per interferer, so the
+        // deferred adds keep every sum's active-set order.
+        clear_batch();
+        for (std::size_t i = 0; i < m; ++i) {
+          if (const SparseLink* link = find_link(other->sender_index, slots[i]);
+              link != nullptr) {
+            acc[i] += link->gain_mw;
+          } else {
+            push_batch(*scratch_rx_[i], slots[i], &acc[i]);
+          }
+        }
+        add_batch_interference(*other->sender);
       } else {
         for (std::size_t i = 0; i < m; ++i) {
-          scratch_interf_[i] +=
-              interference_term(*other, scratch_slot_[i], *scratch_rx_[i]);
+          acc[i] += interference_term(*other, slots[i], *scratch_rx_[i]);
         }
       }
     }
@@ -729,6 +790,26 @@ void Channel::start_transmission(Radio& sender,
         rx.interference_mw += row_mw[rx.receiver_index];
       }
     }
+  } else if (tx->cached) {
+    // Sparse: in-flight receptions on the new sender's row add the
+    // stored gain; every other one is a far-field term, and all of them
+    // go through one propagation batch. Each accumulator takes exactly
+    // one term here, so deferring the batched adds reorders nothing.
+    clear_batch();
+    for (ActiveTx* other : active_) {
+      if (other->end <= now) continue;
+      for (PendingRx& rx : other->receivers) {
+        if (rx.receiver == &sender) continue;
+        if (const SparseLink* link =
+                find_link(tx->sender_index, rx.receiver_index);
+            link != nullptr) {
+          rx.interference_mw += link->gain_mw;
+        } else {
+          push_batch(*rx.receiver, rx.receiver_index, &rx.interference_mw);
+        }
+      }
+    }
+    add_batch_interference(sender);
   } else {
     for (ActiveTx* other : active_) {
       if (other->end <= now) continue;

@@ -33,9 +33,13 @@
 //     sender only the links above the reception or CCA floor as a
 //     compressed row sorted by receiver slot (the same attach order the
 //     other paths visit). O(N·degree) memory/freeze cost instead of
-//     O(N²); interference from senders outside a receiver's row falls
-//     back to the per-pair computation, so sums stay bit-identical
-//     (tests/channel_sparse_test.cpp).
+//     O(N²). Interference from a sender whose row lacks the receiver (a
+//     far-field term) comes from the propagation model, batched per
+//     sender through PropagationModel::gain_mw_batch: one call per
+//     interferer in the forward pass, one per new sender over every
+//     in-flight reception in the back-substitution. Those are the
+//     doubles the per-pair path computes, added in the same order, so
+//     sums stay bit-identical (tests/channel_sparse_test.cpp).
 //
 // One set of kernels serves all three. start_transmission gathers a
 // cached sender's candidates into contiguous arrays and accumulates
@@ -43,8 +47,10 @@
 // computes every receiver's SINR and PRR in one pass (misses batched
 // through Modulation::prr_batch, interference-free pairs served from a
 // per-pair memo while the cache is frozen) before the sequential pass
-// that draws the RNG. Every sum adds the same terms in the same order,
-// so results never depend on which representation is active.
+// that draws the RNG. Row rebuilds, like far-field terms, evaluate one
+// sender's pairs in one propagation batch. Every sum adds the same terms
+// in the same order, so results never depend on which representation is
+// active.
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
 // it (repairing only the touched rows/cells when a cache is frozen), so
@@ -316,9 +322,25 @@ class Channel {
   [[nodiscard]] PrrMemo prr_memo(const ActiveTx& tx, const PendingRx& rx);
   /// Interference term of active transmission `other` at receiver `r`
   /// (slot `ri`): cached gain when available, per-pair fallback
-  /// otherwise — same double either way.
+  /// otherwise — same double either way. Serves every pair with a side
+  /// that has no cache row; cached sparse senders batch their far-field
+  /// terms instead.
   [[nodiscard]] double interference_term(const ActiveTx& other,
                                          std::uint32_t ri, Radio& r);
+
+  // --- one sender, many receivers: PropagationModel batches -------------
+  /// Empties the receiver batch.
+  void clear_batch();
+  /// Appends `receiver` (slot `slot`) to the batch; `acc` is the
+  /// interference accumulator its term goes to, if any.
+  void push_batch(const Radio& receiver, std::uint32_t slot,
+                  double* acc = nullptr);
+  /// rx power in dBm from `sender` at every batched receiver, in batch
+  /// order — the doubles rx_power_uncached() yields, bit for bit.
+  [[nodiscard]] std::span<const double> batch_rx_dbm(const Radio& sender);
+  /// Adds `sender`'s power in mW at every batched receiver to that
+  /// receiver's accumulator — the same term interference_term() adds.
+  void add_batch_interference(const Radio& sender);
 
   // --- ActiveTx pool ----------------------------------------------------
   [[nodiscard]] ActiveTx* acquire_tx();
@@ -424,6 +446,19 @@ class Channel {
   // Forced per-link loss (fault injection), keyed on the unordered pair.
   [[nodiscard]] static std::uint64_t link_key(NodeId a, NodeId b);
   std::unordered_map<std::uint64_t, double> link_faults_;
+
+  // Receiver batch for PropagationModel's one-sender kernels (row
+  // rebuilds, far-field interference terms). Filled and consumed within
+  // one call that runs no user code, so it is never used reentrantly.
+  // Declared last so the members above keep their offsets: placed among
+  // them it cost `lpl` about 2 % (DESIGN.md §8.16).
+  struct BatchTarget {
+    double* acc;         // far-field term: the accumulator it adds to
+    std::uint32_t slot;  // row rebuild: the receiver's slot
+  };
+  std::vector<PropagationModel::Receiver> batch_rx_;
+  std::vector<BatchTarget> batch_target_;
+  std::vector<double> batch_out_;
 };
 
 }  // namespace fourbit::phy

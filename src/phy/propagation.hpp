@@ -3,7 +3,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
@@ -28,12 +30,34 @@ class PropagationModel {
                               NodeId to, const Position& to_pos);
 
   /// Same value as loss() — bit-identical, it is a pure function of
-  /// (seed, pair, positions) — but without touching the per-pair memo.
-  /// Cache rebuilds at large N use this so freeze-time sweeps over
-  /// candidate cells don't permanently grow the memo by O(N·degree).
+  /// (seed, pair, positions) — but computed afresh without reading or
+  /// growing the per-pair memo. The memo stores exactly what this
+  /// returns (a node keeps its position for its lifetime, DESIGN.md
+  /// §8.8), so there is nothing to look up. Per-pair repairs at large N
+  /// use it so they don't permanently grow the memo by O(N·degree).
   [[nodiscard]] Decibels loss_uncached(NodeId from, const Position& from_pos,
                                        NodeId to,
                                        const Position& to_pos) const;
+
+  /// One receiver of a one-sender batch.
+  struct Receiver {
+    NodeId id;
+    Position pos;
+  };
+
+  /// One sender, many receivers: out_dbm[i] = tx_dbm - loss_uncached(from
+  /// -> to[i]), bit for bit. The pairs run stage by stage (uniforms and
+  /// distance, log10, log, cos, combine) over reused member scratch, so a
+  /// call allocates nothing once the scratch has grown. `to` and
+  /// `out_dbm` have the same length.
+  void rx_dbm_batch(NodeId from, const Position& from_pos, double tx_dbm,
+                    std::span<const Receiver> to, std::span<double> out_dbm);
+
+  /// rx_dbm_batch followed by the milliwatt conversion:
+  /// out_mw[i] = pow(10, (tx_dbm - loss) / 10), the bits
+  /// `(PowerDbm{tx_dbm} - loss_uncached(...)).milliwatts()` yields.
+  void gain_mw_batch(NodeId from, const Position& from_pos, double tx_dbm,
+                     std::span<const Receiver> to, std::span<double> out_mw);
 
   [[nodiscard]] const PropagationConfig& config() const { return config_; }
 
@@ -47,6 +71,12 @@ class PropagationModel {
   PropagationConfig config_;
   sim::Rng rng_;
   std::unordered_map<std::uint32_t, double> cache_;
+  // Batch scratch, one slot per receiver: the shadowing and directional
+  // draws' u1 (then the Box–Muller radius) and u2 (then the cosine).
+  std::vector<double> batch_shadow_r_;
+  std::vector<double> batch_shadow_c_;
+  std::vector<double> batch_dir_r_;
+  std::vector<double> batch_dir_c_;
 };
 
 }  // namespace fourbit::phy

@@ -1,24 +1,14 @@
 #include "sim/rng.hpp"
 
 #include <cmath>
-#include <numbers>
 
 #include "common/assert.hpp"
 
 namespace fourbit::sim {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
+using detail::rotl;
+using detail::splitmix64;
 
 // FNV-1a over the label, used to salt child streams.
 std::uint64_t hash_label(std::string_view label) {
@@ -53,10 +43,7 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-double Rng::uniform() {
-  // 53 high-quality bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return detail::unit_interval(next_u64()); }
 
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
@@ -88,8 +75,8 @@ double Rng::normal() {
   // Box-Muller; u1 in (0,1] so log() is finite.
   const double u1 = 1.0 - uniform();
   const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * std::numbers::pi * u2;
+  const double r = detail::box_muller_radius(u1);
+  const double theta = detail::box_muller_theta(u2);
   cached_normal_ = r * std::sin(theta);
   has_cached_normal_ = true;
   return r * std::cos(theta);
@@ -111,7 +98,7 @@ Rng Rng::fork(std::string_view label) const {
 Rng Rng::fork(std::uint64_t key) const {
   // Mix the current state with the key through SplitMix64 so child streams
   // are decorrelated from the parent and from each other.
-  std::uint64_t sm = state_[0] ^ rotl(state_[2], 13) ^ key;
+  std::uint64_t sm = fork_mix(key);
   Rng child{splitmix64(sm)};
   return child;
 }

@@ -6,10 +6,41 @@
 // experiment is exactly reproducible from (seed, config).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <string_view>
 
 namespace fourbit::sim {
+
+namespace detail {
+
+inline std::uint64_t splitmix64(std::uint64_t& x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  std::uint64_t z = x;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+inline std::uint64_t rotl(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// The 53 high bits of a generator output as a double in [0, 1).
+inline double unit_interval(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/// Box–Muller's radius and angle from its two uniforms (u1 in (0, 1]).
+inline double box_muller_radius(double u1) {
+  return std::sqrt(-2.0 * std::log(u1));
+}
+inline double box_muller_theta(double u2) {
+  return 2.0 * std::numbers::pi * u2;
+}
+
+}  // namespace detail
 
 /// xoshiro256** with SplitMix64 seeding. Small, fast, and good enough
 /// statistically for channel/workload modelling (not for cryptography).
@@ -50,7 +81,37 @@ class Rng {
   /// link pair hash, ...).
   [[nodiscard]] Rng fork(std::uint64_t key) const;
 
+  /// The two uniforms `fork(key).normal()` draws first, without building
+  /// the child: u1 = 1 - uniform() (in (0, 1]) and u2 = uniform().
+  struct NormalUniforms {
+    double u1;
+    double u2;
+  };
+
+  /// Bit-identical to the first two draws of fork(key), at a fraction of
+  /// the cost: the child's fourth state word never reaches its first two
+  /// outputs, so only words 0..2 are expanded. Hot per-pair shadowing
+  /// draws (PropagationModel) build on it.
+  [[nodiscard]] NormalUniforms fork_normal_uniforms(std::uint64_t key) const {
+    std::uint64_t sm = fork_mix(key);
+    std::uint64_t child = detail::splitmix64(sm);  // the child's seed
+    const std::uint64_t s0 = detail::splitmix64(child);
+    const std::uint64_t s1 = detail::splitmix64(child);
+    const std::uint64_t s2 = detail::splitmix64(child);
+    // next_u64() twice: the first output reads s1; the second reads s1
+    // after `s2 ^= s0; s1 ^= s2`.
+    const std::uint64_t first = detail::rotl(s1 * 5, 7) * 9;
+    const std::uint64_t second = detail::rotl((s1 ^ s2 ^ s0) * 5, 7) * 9;
+    return {1.0 - detail::unit_interval(first),
+            detail::unit_interval(second)};
+  }
+
  private:
+  /// The SplitMix64 input fork(key) derives the child seed from.
+  [[nodiscard]] std::uint64_t fork_mix(std::uint64_t key) const {
+    return state_[0] ^ detail::rotl(state_[2], 13) ^ key;
+  }
+
   std::uint64_t state_[4];
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

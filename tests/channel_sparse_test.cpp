@@ -8,8 +8,10 @@
 // configuration).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -213,6 +215,65 @@ TEST(ChannelSparseTest, LinkOutageBitIdenticalAcrossPaths) {
     EXPECT_EQ(sparse, dense);
     EXPECT_EQ(sparse, slow);
   }
+}
+
+TEST(ChannelSparseTest, FarFieldInterferenceBitIdenticalAcrossPaths) {
+  // A marginal 100 m link inside a ring of 24 jammers 300-360 m out.
+  // Nearly every jammer sits below every culling floor at the link's
+  // ends, so the sparse rows do not store those pairs: their terms are
+  // far-field, batched through the propagation kernel — in the forward
+  // pass when the jammers are already on the air, in the
+  // back-substitution when they start during the frame. One at a time
+  // they are below the noise floor; together they decide the link. Both
+  // orders run, and every path must deliver the same stream. (Dropping
+  // the far-field terms from the sparse path fails this test; no other
+  // channel test has enough far-field power to notice.)
+  constexpr std::size_t kJammers = 24;
+  const auto run = [](Mode mode) {
+    Pump p{mode, 0};
+    p.add_radio_as(0, 1, Position{0.0, 0.0});  // the link's receiver
+    p.add_radio_as(1, 2, Position{100.0, 0.0});  // the link's sender
+    for (std::size_t k = 0; k < kJammers; ++k) {
+      const double angle = 2.0 * 3.141592653589793 *
+                           static_cast<double>(k) / kJammers;
+      const double radius = 300.0 + 30.0 * static_cast<double>(k % 3);
+      p.add_radio_as(2 + k, static_cast<std::uint16_t>(3 + k),
+                     Position{radius * std::cos(angle),
+                              radius * std::sin(angle)});
+    }
+    std::uint64_t link_deliveries = 0;
+    phy::Radio* receiver = p.radios[0].get();
+    receiver->set_rx_handler([&p, &link_deliveries, receiver](
+                                 std::span<const std::uint8_t> frame,
+                                 const phy::RxInfo& info) {
+      ++p.deliveries;
+      if (info.fcs_ok) ++link_deliveries;
+      p.digest.on_delivery(receiver->id(), frame, info);
+    });
+    const auto send = [&p](std::size_t i, std::int64_t at_us) {
+      p.sim.schedule_in(sim::Duration::from_us(at_us), [&p, i] {
+        p.radios[i]->transmit(std::vector<std::uint8_t>(40, 0x5A), nullptr);
+      });
+    };
+    constexpr int kRounds = 60;
+    for (int round = 0; round < kRounds; ++round) {
+      // Even rounds: jammers first (forward pass); odd: link first.
+      const std::int64_t jam_at = round % 2 == 0 ? 0 : 300;
+      send(1, round % 2 == 0 ? 300 : 0);
+      for (std::size_t k = 0; k < kJammers; ++k) {
+        send(2 + k, jam_at + static_cast<std::int64_t>(k % 7));
+      }
+      p.sim.run();
+    }
+    return std::tuple{p.deliveries, p.digest.h, link_deliveries};
+  };
+  const auto slow = run(Mode::kSlow);
+  // The premise: the far-field sum decides the link, so it loses some
+  // frames but not all.
+  EXPECT_GT(std::get<2>(slow), 5u);
+  EXPECT_LT(std::get<2>(slow), 55u);
+  EXPECT_EQ(run(Mode::kDense), slow);
+  EXPECT_EQ(run(Mode::kSparse), slow);
 }
 
 TEST(ChannelSparseTest, TxPowerChangeRederivesSparseRow) {

@@ -2,7 +2,10 @@
 // variation, interference processes, and the channel/radio pair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -145,14 +148,18 @@ TEST(LqiTest, SampleMeanNearModel) {
 
 // ---- PropagationModel -----------------------------------------------------------
 
+// Bit pattern of a double: the propagation tests compare exact bits,
+// which EXPECT_DOUBLE_EQ (4 ULPs of slack) does not.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(PropagationTest, DeterministicPerPair) {
   PropagationConfig cfg;
   PropagationModel m1{cfg, sim::Rng{7}};
   PropagationModel m2{cfg, sim::Rng{7}};
   const Position a{0, 0};
   const Position b{10, 0};
-  EXPECT_DOUBLE_EQ(m1.loss(NodeId{1}, a, NodeId{2}, b).value(),
-                   m2.loss(NodeId{1}, a, NodeId{2}, b).value());
+  EXPECT_EQ(bits(m1.loss(NodeId{1}, a, NodeId{2}, b).value()),
+            bits(m2.loss(NodeId{1}, a, NodeId{2}, b).value()));
 }
 
 TEST(PropagationTest, CachedValueStable) {
@@ -161,7 +168,155 @@ TEST(PropagationTest, CachedValueStable) {
   const Position b{10, 0};
   const double first = m.loss(NodeId{1}, a, NodeId{2}, b).value();
   const double second = m.loss(NodeId{1}, a, NodeId{2}, b).value();
-  EXPECT_DOUBLE_EQ(first, second);
+  EXPECT_EQ(bits(first), bits(second));
+}
+
+TEST(PropagationTest, LossUncachedMatchesMemoizedLossBitwise) {
+  // loss_uncached() no longer reads the memo; that is only sound if the
+  // memo holds exactly what a fresh computation returns, before and
+  // after the pair is memoized.
+  // The memo is keyed by ids alone (a node keeps its position), so every
+  // pair here is a distinct id pair.
+  PropagationModel m{PropagationConfig{}, sim::Rng{7}};
+  sim::Rng rng{8};
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId a{static_cast<std::uint16_t>(1 + 2 * i)};
+    const NodeId b{static_cast<std::uint16_t>(0xFFFF - 3 * i)};
+    const Position pa{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
+    const Position pb{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
+    const double fresh = m.loss_uncached(a, pa, b, pb).value();
+    const double memoized = m.loss(a, pa, b, pb).value();  // computes
+    const double from_memo = m.loss(a, pa, b, pb).value();  // reads
+    const double after = m.loss_uncached(a, pa, b, pb).value();
+    ASSERT_EQ(bits(fresh), bits(memoized)) << "pair " << i;
+    ASSERT_EQ(bits(fresh), bits(from_memo)) << "pair " << i;
+    ASSERT_EQ(bits(fresh), bits(after)) << "pair " << i;
+  }
+}
+
+// The per-pair composition PropagationModel's fused kernel replaced,
+// written out as the oracle: one forked child generator per draw, each
+// running a full Box–Muller normal. `rng` is a copy of the generator the
+// model was built with.
+double fork_normal_reference(const sim::Rng& rng, const PropagationConfig& cfg,
+                             NodeId from, const Position& from_pos, NodeId to,
+                             const Position& to_pos) {
+  const auto key = [](NodeId a, NodeId b) {
+    return static_cast<std::uint32_t>(a.value()) << 16 | b.value();
+  };
+  const double d = std::max(distance_m(from_pos, to_pos), 0.5);
+  const double deterministic =
+      cfg.reference_loss.value() + 10.0 * cfg.exponent * std::log10(d);
+  const double shadowing =
+      rng.fork(key(std::min(from, to), std::max(from, to)))
+          .normal(0.0, cfg.shadowing_sigma_db);
+  const double directional =
+      rng.fork(key(from, to) ^ 0x9E3779B9U).normal(0.0, cfg.asymmetry_sigma_db);
+  return deterministic + shadowing + directional;
+}
+
+// Pairs for the oracle tests: ids over the whole 16-bit space, positions
+// on a 10 km square (far-field pairs), every eighth receiver coincident
+// with its sender (the 0.5 m clamp).
+struct PairBatch {
+  NodeId from;
+  Position from_pos;
+  double tx_dbm;
+  std::vector<PropagationModel::Receiver> to;
+};
+
+PairBatch random_batch(sim::Rng& rng, std::size_t n) {
+  const auto id = [&] {
+    return NodeId{static_cast<std::uint16_t>(1 + rng.uniform_int(0xFFFF))};
+  };
+  const auto pos = [&] {
+    return Position{rng.uniform(0.0, 1e4), rng.uniform(0.0, 1e4)};
+  };
+  PairBatch b{id(), pos(), rng.uniform(-25.0, 5.0), {}};
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId to = id();
+    b.to.push_back({to, i % 8 == 7 ? b.from_pos : pos()});
+  }
+  return b;
+}
+
+// Checks every pair of `b`, in both orderings, through loss_uncached(),
+// rx_dbm_batch() and gain_mw_batch() against the oracle, bit for bit.
+// (Ids repeat across batches with new positions, so the id-keyed memo of
+// loss() is not consulted here; LossUncachedMatchesMemoizedLossBitwise
+// ties it to loss_uncached().) Returns the number of ordered pairs
+// checked.
+std::size_t expect_matches_oracle(PropagationModel& m, const sim::Rng& rng,
+                                  const PropagationConfig& cfg,
+                                  const PairBatch& b) {
+  const std::size_t n = b.to.size();
+  std::vector<double> dbm(n, -1.0);
+  std::vector<double> mw(n, -1.0);
+  m.rx_dbm_batch(b.from, b.from_pos, b.tx_dbm, b.to, dbm);
+  m.gain_mw_batch(b.from, b.from_pos, b.tx_dbm, b.to, mw);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [to, to_pos] = b.to[i];
+    const double fwd =
+        fork_normal_reference(rng, cfg, b.from, b.from_pos, to, to_pos);
+    const double rev =
+        fork_normal_reference(rng, cfg, to, to_pos, b.from, b.from_pos);
+    const PowerDbm rx = PowerDbm{b.tx_dbm} - Decibels{fwd};
+    EXPECT_EQ(bits(m.loss_uncached(b.from, b.from_pos, to, to_pos).value()),
+              bits(fwd));
+    EXPECT_EQ(bits(m.loss_uncached(to, to_pos, b.from, b.from_pos).value()),
+              bits(rev));
+    EXPECT_EQ(bits(dbm[i]), bits(rx.value())) << "batch element " << i;
+    EXPECT_EQ(bits(mw[i]), bits(rx.milliwatts())) << "batch element " << i;
+    if (::testing::Test::HasFailure()) return 0;  // one report, not 100k
+  }
+  return 2 * n;
+}
+
+TEST(PropagationTest, FusedKernelMatchesForkNormalReferenceBitwise) {
+  const PropagationConfig cfg;
+  std::size_t checked = 0;
+  sim::Rng pairs{2026};
+  for (const std::uint64_t seed : {7ULL, 11ULL, 0xC0FFEEULL}) {
+    for (const int advance : {0, 3}) {
+      // The model forks from its generator's live state, so a parent
+      // stream advanced before the model takes it must still match.
+      sim::Rng rng{seed};
+      for (int k = 0; k < advance; ++k) (void)rng.next_u64();
+      PropagationModel m{cfg, rng};
+      // Odd and even sizes, growing and shrinking, so the scratch is
+      // reused with stale tails.
+      for (const std::size_t n :
+           {1023u, 64u, 1u, 4001u, 7u, 2048u, 3u, 5001u}) {
+        checked += expect_matches_oracle(m, rng, cfg, random_batch(pairs, n));
+        ASSERT_FALSE(HasFailure()) << "seed " << seed << " advance " << advance
+                                   << " batch " << n;
+      }
+    }
+  }
+  EXPECT_GE(checked, 100'000u);
+}
+
+TEST(PropagationTest, FusedKernelEdgeCasesMatchReferenceBitwise) {
+  sim::Rng pairs{77};
+  // Zero sigmas: the draws still run, and 0.0 + 0.0 * z is +0.0 for
+  // either sign of z.
+  PropagationConfig flat;
+  flat.shadowing_sigma_db = 0.0;
+  flat.asymmetry_sigma_db = 0.0;
+  for (const PropagationConfig& cfg : {flat, PropagationConfig{}}) {
+    const sim::Rng rng{5};
+    PropagationModel m{cfg, rng};
+    for (const std::size_t n : {0u, 1u, 9u}) {
+      expect_matches_oracle(m, rng, cfg, random_batch(pairs, n));
+    }
+    // Coincident nodes: the 0.5 m clamp, in the scalar and batch paths.
+    PairBatch same = random_batch(pairs, 5);
+    for (PropagationModel::Receiver& r : same.to) r.pos = same.from_pos;
+    expect_matches_oracle(m, rng, cfg, same);
+  }
+  // An empty batch is a no-op.
+  PropagationModel m{PropagationConfig{}, sim::Rng{5}};
+  m.gain_mw_batch(NodeId{1}, Position{}, 0.0, {}, {});
 }
 
 TEST(PropagationTest, LossGrowsWithDistanceOnAverage) {

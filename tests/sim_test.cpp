@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -622,6 +623,36 @@ TEST(RngTest, IntegerForksDiffer) {
   Rng a = root.fork(std::uint64_t{1});
   Rng b = root.fork(std::uint64_t{2});
   EXPECT_NE(a.next_u64(), b.next_u64());
+}
+
+TEST(RngTest, ForkNormalUniformsMatchForkedChildBitwise) {
+  // fork_normal_uniforms(key) must be exactly the two uniforms the
+  // forked child's first normal() draws: u1 = 1 - uniform(), then
+  // u2 = uniform(). Parents from several seeds, advanced between
+  // rounds (fork mixes the live state); keys alternate between 32-bit
+  // (the width of PropagationModel's pair keys) and full 64-bit, plus
+  // 0 and ~0.
+  for (const std::uint64_t seed : {0ULL, 1ULL, 7ULL, 0xDEADBEEFULL}) {
+    Rng parent{seed};
+    Rng keys{seed ^ 0x5EEDULL};
+    for (int advance = 0; advance < 3; ++advance) {
+      for (int i = 0; i < 20'000; ++i) {
+        const std::uint64_t key =
+            i == 0 ? 0 : i == 1 ? ~0ULL : keys.next_u64() >> (i % 2 ? 32 : 0);
+        Rng child = parent.fork(key);
+        const double u1 = 1.0 - child.uniform();
+        const double u2 = child.uniform();
+        const Rng::NormalUniforms fused = parent.fork_normal_uniforms(key);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fused.u1),
+                  std::bit_cast<std::uint64_t>(u1))
+            << "seed " << seed << " advance " << advance << " key " << key;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(fused.u2),
+                  std::bit_cast<std::uint64_t>(u2))
+            << "seed " << seed << " advance " << advance << " key " << key;
+      }
+      (void)parent.next_u64();
+    }
+  }
 }
 
 }  // namespace
