@@ -1,8 +1,9 @@
 // Channel scaling benchmark: packets/sec through the shared medium,
-// fast path (link cache + culling + pooled frames) vs the slow
-// reference path at N = 50 / 200 / 800 radios, plus sparse spatial
-// cells (use_spatial_index) at city-scale N = 2000 / 10000 — the
-// populations the dense N x N matrices cannot reach.
+// with link rows ("fast": complete rows, use_link_cache) vs without
+// ("slow": every pair from the propagation batch, the reference) at
+// N = 50 / 200 / 800 radios, plus culled rows ("sparse",
+// use_spatial_index) at city-scale N = 2000 / 10000 — the populations
+// complete rows cannot reach.
 //
 // The workload is the channel's steady-state job in a collection run:
 // every radio wakes on its own period, samples CCA (busy_at), and puts a
@@ -25,14 +26,11 @@
 // are compared: ratios transfer across machines, wall-clock does not.
 // A final pair of cells re-runs the largest N with telemetry at debug
 // level (one flight-recorder write per frame); --check additionally
-// gates that overhead at 10%. Engine cells (--engine-nodes) record the
-// production engine's events/s and frames/s at N = 2000 / 10000; they
-// carry no gate.
+// gates that overhead at 10%.
 //
 //   usage: channel_scaling [--nodes 50,200,800] [--seconds S]
 //                          [--sparse-nodes 2000,10000]
-//                          [--sparse-seconds S] [--engine-nodes 2000,10000]
-//                          [--engine-seconds S] [--max-rss-per-node-kb K]
+//                          [--sparse-seconds S] [--max-rss-per-node-kb K]
 //                          [--out BENCH_channel.json] [--check BASELINE]
 #include <chrono>
 #include <cmath>
@@ -93,15 +91,11 @@ struct RunResult {
   Mode mode = Mode::kSlow;
   std::uint64_t frames = 0;
   std::uint64_t deliveries = 0;
-  std::uint64_t events = 0;  // simulator events executed
   double wall_s = 0.0;
   double rss_kb_per_node = 0.0;  // sampled for sparse cells only
 
   [[nodiscard]] double frames_per_s() const {
     return wall_s > 0.0 ? static_cast<double>(frames) / wall_s : 0.0;
-  }
-  [[nodiscard]] double events_per_s() const {
-    return wall_s > 0.0 ? static_cast<double>(events) / wall_s : 0.0;
   }
 };
 
@@ -168,26 +162,23 @@ RunResult run_cell(std::size_t n, Mode mode, double seconds,
   }
 
   // Steady-state window: the first period is warm-up — the lazy link
-  // cache rebuild (O(N²) RNG draws on the dense path, ~0.7 s at
+  // cache rebuild (O(N²) RNG draws with complete rows, ~0.7 s at
   // N=2000), pool growth, and arena growth all land on the first round
   // of transmissions. A sentinel at t=period starts the clock after
   // that, so the cell measures dispatch throughput, not setup. (Sub-
   // period cells keep the whole run: nothing reached steady state.)
   auto t0 = std::chrono::steady_clock::now();
   std::uint64_t frames0 = 0;
-  std::uint64_t events0 = 0;
   if (seconds > period_s) {
     sim.schedule_at(sim::Time{} + period, [&] {
       t0 = std::chrono::steady_clock::now();
       frames0 = channel.frames_transmitted();
-      events0 = sim.events_executed();
     });
   }
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.frames = channel.frames_transmitted() - frames0;
-  out.events = sim.events_executed() - events0;
   return out;
 }
 
@@ -207,7 +198,6 @@ struct SparseCell {
 
 void write_json(const char* path, const std::vector<RunResult>& results,
                 const std::vector<SparseCell>& sparse,
-                const std::vector<RunResult>& engine,
                 const std::vector<RunResult>& telemetry, double seconds) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -264,16 +254,6 @@ void write_json(const char* path, const std::vector<RunResult>& results,
                    i + 1 < sparse.size() ? "," : "");
     }
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"engine\": [\n");
-  for (std::size_t i = 0; i < engine.size(); ++i) {
-    const RunResult& r = engine[i];
-    std::fprintf(f,
-                 "    {\"nodes\": %zu, \"mode\": \"%s\", "
-                 "\"events_per_s\": %.1f, \"frames_per_s\": %.1f}%s\n",
-                 r.nodes, mode_name(r.mode), r.events_per_s(),
-                 r.frames_per_s(), i + 1 < engine.size() ? "," : "");
-  }
   if (!telemetry.empty()) {
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"telemetry\": [\n");
@@ -327,13 +307,8 @@ std::vector<std::pair<std::size_t, double>> read_metric(const char* path,
 int main(int argc, char** argv) {
   std::vector<std::size_t> node_counts{50, 200, 800};
   std::vector<std::size_t> sparse_counts{2000, 10000};
-  std::vector<std::size_t> engine_counts{2000, 10000};
   double seconds = 10.0;
   double sparse_seconds = 2.0;
-  // Long enough that the steady-state window dwarfs warm-up noise (the
-  // PRR memo takes a few rounds to fill; a short window under-reports
-  // the fast configuration).
-  double engine_seconds = 4.0;
   double max_rss_kb_per_node = 0.0;  // 0 = report only, no gate
   const char* out_path = "BENCH_channel.json";
   const char* baseline_path = nullptr;
@@ -363,10 +338,6 @@ int main(int argc, char** argv) {
       seconds = std::atof(next());
     } else if (arg == "--sparse-seconds") {
       sparse_seconds = std::atof(next());
-    } else if (arg == "--engine-nodes") {
-      parse_list(engine_counts);
-    } else if (arg == "--engine-seconds") {
-      engine_seconds = std::atof(next());
     } else if (arg == "--max-rss-per-node-kb") {
       max_rss_kb_per_node = std::atof(next());
     } else if (arg == "--out") {
@@ -377,8 +348,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: channel_scaling [--nodes 50,200,800] "
                    "[--seconds S] [--sparse-nodes 2000,10000] "
-                   "[--sparse-seconds S] [--engine-nodes 2000,10000] "
-                   "[--engine-seconds S] [--max-rss-per-node-kb K] "
+                   "[--sparse-seconds S] [--max-rss-per-node-kb K] "
                    "[--out FILE] [--check BASELINE]\n");
       return 2;
     }
@@ -469,34 +439,6 @@ int main(int argc, char** argv) {
     sparse_cells.push_back(std::move(cell));
   }
 
-  // Engine cells: the production engine's throughput at city scale,
-  // recorded as events/s and frames/s (no gate). At N=2000 the cell
-  // runs the *dense* cached path at the dense cells' 50 ms period: with
-  // every pair memoized in the gain matrices, the wall clock is event
-  // dispatch plus the interference and SNR→PRR passes. (On the sparse
-  // path the same cell spends ~75% of its time recomputing
-  // sub-cutoff-pair propagation losses — two RNG forks and two normal
-  // draws per far interferer — the medium's cost, not the engine's.)
-  // Past N=2000 the dense matrices are unaffordable, so the cell
-  // switches to the sparse path at its duty-cycled period; its events/s
-  // is the event-rate figure past the sparse memory wall.
-  std::vector<RunResult> engine_cells;
-  for (const std::size_t n : engine_counts) {
-    const auto side = static_cast<std::size_t>(
-        std::ceil(std::sqrt(static_cast<double>(n))));
-    const bool dense = n <= 2000;
-    const Mode mode = dense ? Mode::kFast : Mode::kSparse;
-    const double period = dense ? kPeriodSeconds : kSparsePeriodSeconds;
-    const RunResult cell =
-        run_cell(n, mode, engine_seconds, sim::TraceLevel::kInfo, side,
-                 kSparsePitchM, period);
-    std::printf("\nengine N=%zu (%s path, %.0f ms period, %.1f sim-s): "
-                "%.1f frames/s %.1f events/s\n",
-                n, mode_name(mode), period * 1e3, engine_seconds,
-                cell.frames_per_s(), cell.events_per_s());
-    engine_cells.push_back(cell);
-  }
-
   // Telemetry overhead at the largest N: the fast path once more with
   // the context at kDebug, where every frame pays a flight-recorder ring
   // write (kPhyFrame) on top of the usual counter increment. The ratio
@@ -524,8 +466,7 @@ int main(int argc, char** argv) {
     telemetry.push_back(traced);
   }
 
-  write_json(out_path, results, sparse_cells, engine_cells, telemetry,
-             seconds);
+  write_json(out_path, results, sparse_cells, telemetry, seconds);
   std::printf("\nwrote %s\n", out_path);
 
   if (!rss_ok) return 1;

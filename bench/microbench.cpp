@@ -361,7 +361,7 @@ void BM_PropagationPair(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const Decibels loss =
-        model.loss_uncached(p.from[i], p.from_pos[i], p.to[i], p.to_pos[i]);
+        model.loss(p.from[i], p.from_pos[i], p.to[i], p.to_pos[i]);
     benchmark::DoNotOptimize((PowerDbm{0.0} - loss).milliwatts());
     i = (i + 1) & (kPropagationPairs - 1);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -61,19 +62,22 @@ void Channel::detach(Radio& radio) {
     // visit order the compacted scan would have had.
     radios_[slot] = nullptr;
     free_slots_.push_back(slot);
-    if (cache_valid_ && sparse_mode_ && slot < slot_cell_.size() &&
+    if (cache_valid_ && slot < slot_cell_.size() &&
         slot_cell_[slot] != kNoCell) {
       const std::size_t cell = slot_cell_[slot];
       std::erase(cells_[cell], static_cast<std::uint32_t>(slot));
       slot_cell_[slot] = kNoCell;
-      // Senders near the departed position still hold row entries for
-      // this slot. While it is tombstoned they are skipped via the null
-      // checks, but a reuse at a position in a DIFFERENT cell would only
-      // repair the new neighborhood and leave these stale (old gains,
-      // old candidate/audible flags, applied to the new radio). Scrub
-      // them now, while the old cell is still known.
-      scrub_sparse_links_to(slot, cell);
-      sparse_rows_[slot].clear();
+      // Senders near the departed position still hold links to this
+      // slot. While it is tombstoned the null checks skip them, but a
+      // reuse at a position in a DIFFERENT cell would only repair the new
+      // neighborhood and leave these stale (old gains, old flags, applied
+      // to the new radio). Scrub them now, while the old cell is known:
+      // row construction is neighborhood-symmetric, so only rows in the
+      // old 3x3 neighborhood can hold one.
+      for_each_neighbor_slot(cell, [&](std::uint32_t s) {
+        repair_link(s, static_cast<std::uint32_t>(slot));
+      });
+      rows_[slot].clear();
     }
   }
   for (ActiveTx* tx : active_) {
@@ -104,15 +108,9 @@ void Channel::clear_link_outage(NodeId a, NodeId b) {
   link_faults_.erase(link_key(a, b));
 }
 
-PowerDbm Channel::rx_power(const Radio& from, const Radio& to) {
+PowerDbm Channel::rx_power(const Radio& from, const Radio& to) const {
   const Decibels loss = propagation_.loss(from.id(), from.position(), to.id(),
                                           to.position());
-  return from.effective_tx_power() - loss;
-}
-
-PowerDbm Channel::rx_power_uncached(const Radio& from, const Radio& to) const {
-  const Decibels loss = propagation_.loss_uncached(
-      from.id(), from.position(), to.id(), to.position());
   return from.effective_tx_power() - loss;
 }
 
@@ -123,8 +121,8 @@ void Channel::clear_batch() {
   batch_target_.clear();
 }
 
-// Inline: the far-field gathers call this once per pair off a stored
-// row, about 1,400 times per frame at N=10k.
+// Inline: the gathers call this once per pair a row lacks, about 1,400
+// times per frame at N=10k.
 inline void Channel::push_batch(const Radio& receiver, std::uint32_t slot,
                                 double* acc) {
   batch_rx_.push_back({receiver.id(), receiver.position()});
@@ -139,8 +137,13 @@ std::span<const double> Channel::batch_rx_dbm(const Radio& sender) {
   return batch_out_;
 }
 
-void Channel::add_batch_interference(const Radio& sender) {
-  if (batch_rx_.empty()) return;
+// Inline: called once per interferer and usually finding the batch
+// empty (complete rows hold every pair); as a call it cost ~8 % of `lpl`.
+inline void Channel::add_batch_interference(const Radio& sender) {
+  if (!batch_rx_.empty()) evaluate_batch_interference(sender);
+}
+
+void Channel::evaluate_batch_interference(const Radio& sender) {
   batch_out_.resize(batch_rx_.size());
   propagation_.gain_mw_batch(sender.id(), sender.position(),
                              sender.effective_tx_power().value(), batch_rx_,
@@ -160,7 +163,7 @@ double Channel::mean_prr(const Radio& from, const Radio& to,
       snr_db(from, to), mpdu_bytes + phy_.phy_overhead_bytes);
 }
 
-// --- fast-path link cache --------------------------------------------
+// --- link rows ---------------------------------------------------------
 
 void Channel::ensure_cache() {
   if (!cache_valid_) rebuild_cache();
@@ -171,7 +174,6 @@ void Channel::rebuild_cache() {
                                sim::ProfilePhase::kChannelFreeze};
   ++*ctr_cache_rebuilds_;
   n_ = radios_.size();
-  sparse_mode_ = phy_.use_spatial_index;
 
   rx_cutoff_dbm_.assign(n_, 0.0);
   noise_mw_.assign(n_, 0.0);
@@ -187,82 +189,101 @@ void Channel::rebuild_cache() {
     noise_dbm_[r] = PowerDbm::from_milliwatts(noise_mw_[r]).value();
   }
 
-  if (sparse_mode_) {
-    // The dense matrices stay empty: O(N·degree), not O(N²).
-    gain_dbm_ = {};
-    gain_mw_ = {};
-    prr_bytes_ = {};
-    prr_val_ = {};
-    candidates_ = {};
-    cca_audible_ = {};
-    cca_words_ = 0;
-    build_grid();
-    sparse_rows_.assign(n_, {});
-    for (std::size_t s = 0; s < n_; ++s) {
-      if (radios_[s] != nullptr) rebuild_sparse_row(s);
-    }
-  } else {
-    sparse_rows_ = {};
-    cells_ = {};
-    slot_cell_ = {};
-    gain_dbm_.assign(n_ * n_, -1e9);
-    gain_mw_.assign(n_ * n_, 0.0);
-    candidates_.assign(n_, {});
-    cca_words_ = (n_ + 63) / 64;
-    cca_audible_.assign(n_ * cca_words_, 0);
-    prr_bytes_.assign(n_ * n_, 0);
-    prr_val_.assign(n_ * n_, 0.0);
-    for (std::size_t s = 0; s < n_; ++s) rebuild_row(s);
-  }
-
-  // Re-point transmissions already in the air at the rebuilt cache (a
-  // sender may have gained or lost its slot since the tx started).
-  for (ActiveTx* tx : active_) {
-    tx->cached = tx->sender != nullptr && has_cache_slot(*tx->sender);
-    if (tx->cached) {
-      tx->sender_index =
-          static_cast<std::uint32_t>(tx->sender->channel_index());
-    }
-    for (PendingRx& rx : tx->receivers) {
-      rx.receiver_index =
-          static_cast<std::uint32_t>(rx.receiver->channel_index());
-    }
-  }
+  build_grid();
+  rows_.assign(n_, {});
+  row_candidates_.assign(rows_complete() ? n_ : 0, {});
+  for (std::size_t s = 0; s < n_; ++s) rebuild_row(s);
+  // Transmissions already in the air keep their flags: slots are stable,
+  // and a sender without a slot (detached but alive) cannot gain one.
   cache_valid_ = true;
 }
 
+bool Channel::rows_complete() const { return std::isinf(radius_m_); }
+
+Channel::SparseLink Channel::make_link(std::uint32_t r, PowerDbm p) const {
+  SparseLink link;
+  link.receiver = r;
+  link.gain_dbm = p.value();
+  link.gain_mw = p.milliwatts();
+  link.candidate = p.value() >= rx_cutoff_dbm_[r];
+  link.audible = p >= phy_.cca_threshold;
+  return link;
+}
+
 void Channel::rebuild_row(std::size_t s) {
-  Radio* sender_p = radios_[s];
-  auto& cands = candidates_[s];
-  std::uint64_t* cca_row = &cca_audible_[s * cca_words_];
-  std::fill(cca_row, cca_row + cca_words_, 0);
-  // New gains invalidate the row's memoized PRRs.
-  std::fill(&prr_bytes_[s * n_], &prr_bytes_[s * n_] + n_, 0);
-  cands.clear();
-  if (sender_p == nullptr) return;  // tombstoned slot: empty row
+  std::vector<SparseLink>& row = rows_[s];
+  row.clear();
+  const Radio* sender = radios_[s];
+  if (sender == nullptr) return;  // tombstoned slot: empty row
   clear_batch();
-  for (std::size_t r = 0; r < n_; ++r) {
-    if (r == s || radios_[r] == nullptr) continue;
-    push_batch(*radios_[r], static_cast<std::uint32_t>(r));
+  for_each_neighbor_slot(slot_cell_[s], [&](std::uint32_t r) {
+    if (r != s) push_batch(*radios_[r], r);
+  });
+  // Exactly the doubles the no-row path computes, or the paths diverge
+  // bitwise.
+  const std::span<const double> rx_dbm = batch_rx_dbm(*sender);
+  if (rows_complete()) {
+    row.resize(n_);
+    for (std::size_t r = 0; r < n_; ++r) {
+      row[r].receiver = static_cast<std::uint32_t>(r);
+    }
+    for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
+      const std::uint32_t r = batch_target_[j].slot;
+      row[r] = make_link(r, PowerDbm{rx_dbm[j]});
+    }
+    std::vector<std::uint32_t>& cands = row_candidates_[s];
+    cands.clear();
+    for (const SparseLink& link : row) {
+      if (link.candidate) cands.push_back(link.receiver);
+    }
+    return;
   }
-  // Exactly the slow path's arithmetic: cached doubles must equal what
-  // rx_power() would compute, or the paths diverge bitwise.
-  const std::span<const double> rx_dbm = batch_rx_dbm(*sender_p);
-  double* row_dbm = &gain_dbm_[s * n_];
-  double* row_mw = &gain_mw_[s * n_];
   for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
     const std::uint32_t r = batch_target_[j].slot;
     const PowerDbm p{rx_dbm[j]};
-    row_dbm[r] = p.value();
-    row_mw[r] = p.milliwatts();
-    if (p.value() >= rx_cutoff_dbm_[r]) cands.push_back(r);
-    if (p >= phy_.cca_threshold) {
-      cca_row[r / 64] |= std::uint64_t{1} << (r % 64);
-    }
+    // Below every floor: not stored (and no pow() spent on it).
+    if (p.value() < rx_cutoff_dbm_[r] && p < phy_.cca_threshold) continue;
+    row.push_back(make_link(r, p));
   }
+  // Ascending slot order == the attach order every sender's receivers
+  // are visited in, so RNG draw sequences stay bit-identical.
+  std::sort(row.begin(), row.end(),
+            [](const SparseLink& a, const SparseLink& b) {
+              return a.receiver < b.receiver;
+            });
 }
 
-// --- sparse spatial index ---------------------------------------------
+void Channel::repair_link(std::size_t s, std::uint32_t r) {
+  SparseLink link;  // a tombstoned receiver: no link
+  link.receiver = r;
+  if (radios_[r] != nullptr) {
+    link = make_link(r, rx_power(*radios_[s], *radios_[r]));
+  }
+  std::vector<SparseLink>& row = rows_[s];
+  if (complete(row)) {
+    row[r] = link;  // fresh memo: the gain changed
+    std::vector<std::uint32_t>& cands = row_candidates_[s];
+    const auto it = std::lower_bound(cands.begin(), cands.end(), r);
+    const bool present = it != cands.end() && *it == r;
+    if (link.candidate && !present) {
+      cands.insert(it, r);
+    } else if (!link.candidate && present) {
+      cands.erase(it);
+    }
+    return;
+  }
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), r,
+      [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
+  const bool present = it != row.end() && it->receiver == r;
+  if (!link.candidate && !link.audible) {
+    if (present) row.erase(it);
+  } else if (present) {
+    *it = link;  // fresh memo: the gain changed
+  } else {
+    row.insert(it, link);
+  }
+}
 
 double Channel::receive_floor_radius(double max_tx_dbm,
                                      double floor_dbm) const {
@@ -301,33 +322,42 @@ void Channel::build_grid() {
   min_floor = std::min(min_floor, phy_.cca_threshold.value());
   cells_.clear();
   slot_cell_.assign(n_, kNoCell);
-  if (live == 0) {
+  origin_x_ = origin_y_ = 0.0;
+  if (!phy_.use_spatial_index) {
+    // Nothing is culled: an infinite radius, one cell, complete rows,
+    // and no tx power, floor or position can void the grid.
+    radius_m_ = cell_size_m_ = std::numeric_limits<double>::infinity();
+    grid_cols_ = grid_rows_ = 1;
+    max_tx_dbm_ = std::numeric_limits<double>::infinity();
+    min_floor_dbm_ = -std::numeric_limits<double>::infinity();
+  } else if (live == 0) {
     radius_m_ = 0.5;
     cell_size_m_ = 1.0;
-    origin_x_ = origin_y_ = 0.0;
     grid_cols_ = grid_rows_ = 0;
     max_tx_dbm_ = -1e300;
     min_floor_dbm_ = 1e300;
     return;
-  }
-
-  max_tx_dbm_ = max_tx;
-  min_floor_dbm_ = min_floor;
-  radius_m_ = receive_floor_radius(max_tx, min_floor);
-  cell_size_m_ = std::max(radius_m_, 1e-3);
-  origin_x_ = min_x;
-  origin_y_ = min_y;
-  auto dims = [&]() {
-    grid_cols_ = static_cast<std::size_t>((max_x - min_x) / cell_size_m_) + 1;
-    grid_rows_ = static_cast<std::size_t>((max_y - min_y) / cell_size_m_) + 1;
-  };
-  dims();
-  // A few nodes scattered over a huge extent must not allocate a huge
-  // grid: coarsen cells until the grid is O(live). Cells only ever grow
-  // past the radius, so the 3x3 neighborhood scan stays sufficient.
-  while (grid_cols_ * grid_rows_ > 16 * live + 16) {
-    cell_size_m_ *= 2.0;
+  } else {
+    max_tx_dbm_ = max_tx;
+    min_floor_dbm_ = min_floor;
+    radius_m_ = receive_floor_radius(max_tx, min_floor);
+    cell_size_m_ = std::max(radius_m_, 1e-3);
+    origin_x_ = min_x;
+    origin_y_ = min_y;
+    auto dims = [&]() {
+      grid_cols_ =
+          static_cast<std::size_t>((max_x - min_x) / cell_size_m_) + 1;
+      grid_rows_ =
+          static_cast<std::size_t>((max_y - min_y) / cell_size_m_) + 1;
+    };
     dims();
+    // A few nodes scattered over a huge extent must not allocate a huge
+    // grid: coarsen cells until the grid is O(live). Cells only ever grow
+    // past the radius, so the 3x3 neighborhood scan stays sufficient.
+    while (grid_cols_ * grid_rows_ > 16 * live + 16) {
+      cell_size_m_ *= 2.0;
+      dims();
+    }
   }
   cells_.assign(grid_cols_ * grid_rows_, {});
   for (std::size_t s = 0; s < n_; ++s) {
@@ -339,6 +369,7 @@ void Channel::build_grid() {
 }
 
 std::size_t Channel::cell_of(const Position& p) const {
+  // An infinite cell size puts every position in cell 0.
   const double fx = std::max(0.0, (p.x - origin_x_) / cell_size_m_);
   const double fy = std::max(0.0, (p.y - origin_y_) / cell_size_m_);
   const std::size_t cx =
@@ -349,110 +380,20 @@ std::size_t Channel::cell_of(const Position& p) const {
 }
 
 bool Channel::grid_covers(const Position& p) const {
+  if (rows_complete()) return true;
   if (grid_cols_ == 0 || grid_rows_ == 0) return false;
   return p.x >= origin_x_ && p.y >= origin_y_ &&
          p.x <= origin_x_ + static_cast<double>(grid_cols_) * cell_size_m_ &&
          p.y <= origin_y_ + static_cast<double>(grid_rows_) * cell_size_m_;
 }
 
-void Channel::rebuild_sparse_row(std::size_t s) {
-  auto& row = sparse_rows_[s];
-  row.clear();
-  Radio* sender_p = radios_[s];
-  if (sender_p == nullptr) return;
-  clear_batch();
-  for_each_neighbor_slot(slot_cell_[s], [&](std::uint32_t r) {
-    if (r != s) push_batch(*radios_[r], r);
-  });
-  const std::span<const double> rx_dbm = batch_rx_dbm(*sender_p);
-  for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
-    const std::uint32_t r = batch_target_[j].slot;
-    const PowerDbm p{rx_dbm[j]};
-    const bool cand = p.value() >= rx_cutoff_dbm_[r];
-    const bool audible = p >= phy_.cca_threshold;
-    if (!cand && !audible) continue;
-    SparseLink link;
-    link.receiver = r;
-    link.gain_dbm = p.value();
-    link.gain_mw = p.milliwatts();
-    link.candidate = cand;
-    link.audible = audible;
-    row.push_back(link);
-  }
-  // Ascending slot order == the attach order the dense and slow paths
-  // visit, so RNG draw sequences stay bit-identical.
-  std::sort(row.begin(), row.end(),
-            [](const SparseLink& a, const SparseLink& b) {
-              return a.receiver < b.receiver;
-            });
-}
-
-void Channel::scrub_sparse_links_to(std::size_t slot, std::size_t cell) {
-  for_each_neighbor_slot(cell, [&](std::uint32_t s) {
-    if (s == slot) return;
-    auto& row = sparse_rows_[s];
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), static_cast<std::uint32_t>(slot),
-        [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
-    if (it != row.end() && it->receiver == slot) row.erase(it);
-  });
-}
-
-void Channel::repair_sparse_link(std::size_t s, std::size_t r) {
-  const PowerDbm p = rx_power_uncached(*radios_[s], *radios_[r]);
-  const bool cand = p.value() >= rx_cutoff_dbm_[r];
-  const bool audible = p >= phy_.cca_threshold;
-  auto& row = sparse_rows_[s];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), static_cast<std::uint32_t>(r),
-      [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
-  const bool present = it != row.end() && it->receiver == r;
-  if (!cand && !audible) {
-    if (present) row.erase(it);
-    return;
-  }
-  SparseLink link;
-  link.receiver = static_cast<std::uint32_t>(r);
-  link.gain_dbm = p.value();
-  link.gain_mw = p.milliwatts();
-  link.candidate = cand;
-  link.audible = audible;
-  if (present) {
-    *it = link;  // prr memo reset: the gain changed
-  } else {
-    row.insert(it, link);
-  }
-}
-
-const Channel::SparseLink* Channel::find_link(std::size_t sender,
-                                              std::uint32_t receiver) const {
-  const auto& row = sparse_rows_[sender];
-  // Far-field pairs, nearly every lookup at large N, usually fall outside
-  // the row's slot range; settle those without the binary search.
-  if (row.empty() || receiver < row.front().receiver ||
-      receiver > row.back().receiver) {
-    return nullptr;
-  }
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), receiver,
-      [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
-  return it != row.end() && it->receiver == receiver ? &*it : nullptr;
-}
-
-Channel::SparseLink* Channel::find_link(std::size_t sender,
-                                        std::uint32_t receiver) {
-  return const_cast<SparseLink*>(
-      std::as_const(*this).find_link(sender, receiver));
-}
-
 void Channel::repair_reused_slot(std::size_t slot) {
   FOURBIT_ASSERT(slot < n_, "slot reuse beyond the frozen cache");
   Radio& radio = *radios_[slot];
-  if (sparse_mode_ &&
-      (radio.effective_tx_power().value() > max_tx_dbm_ ||
-       (radio.noise_floor() + phy_.reception_cutoff_margin).value() <
-           min_floor_dbm_ ||
-       !grid_covers(radio.position()))) {
+  const double cutoff_dbm =
+      (radio.noise_floor() + phy_.reception_cutoff_margin).value();
+  if (radio.effective_tx_power().value() > max_tx_dbm_ ||
+      cutoff_dbm < min_floor_dbm_ || !grid_covers(radio.position())) {
     // A louder transmitter, a more sensitive receiver (reception cutoff
     // below the weakest floor the radius was derived from — senders
     // beyond the 3x3 neighborhood could now be audible), or a position
@@ -461,96 +402,54 @@ void Channel::repair_reused_slot(std::size_t slot) {
     cache_valid_ = false;
     return;
   }
-  rx_cutoff_dbm_[slot] =
-      (radio.noise_floor() + phy_.reception_cutoff_margin).value();
+  rx_cutoff_dbm_[slot] = cutoff_dbm;
   noise_mw_[slot] = radio.noise_floor().milliwatts();
   noise_dbm_[slot] = PowerDbm::from_milliwatts(noise_mw_[slot]).value();
 
-  if (sparse_mode_) {
-    const std::size_t cell = cell_of(radio.position());
-    cells_[cell].push_back(static_cast<std::uint32_t>(slot));
-    slot_cell_[slot] = static_cast<std::uint32_t>(cell);
-    rebuild_sparse_row(slot);
-    // Touched-cell column repair: only senders within the 3x3 cell
-    // neighborhood can be above a culling floor with this slot, and any
-    // links held near the OLD position were scrubbed at detach — so the
-    // new neighborhood is the whole column.
-    for_each_neighbor_slot(cell, [&](std::uint32_t s) {
-      if (s == slot) return;
-      repair_sparse_link(s, slot);
-    });
-    return;
-  }
-
-  // Dense: re-derive the slot's row, then walk its column once.
+  const std::size_t cell = cell_of(radio.position());
+  cells_[cell].push_back(static_cast<std::uint32_t>(slot));
+  slot_cell_[slot] = static_cast<std::uint32_t>(cell);
   rebuild_row(slot);
-  for (std::size_t s = 0; s < n_; ++s) {
-    if (s == slot || radios_[s] == nullptr) continue;
-    const PowerDbm p = rx_power_uncached(*radios_[s], radio);
-    gain_dbm_[s * n_ + slot] = p.value();
-    gain_mw_[s * n_ + slot] = p.milliwatts();
-    prr_bytes_[s * n_ + slot] = 0;
-    auto& cands = candidates_[s];
-    const auto it = std::lower_bound(cands.begin(), cands.end(),
-                                     static_cast<std::uint32_t>(slot));
-    const bool present = it != cands.end() && *it == slot;
-    const bool want = p.value() >= rx_cutoff_dbm_[slot];
-    if (want && !present) {
-      cands.insert(it, static_cast<std::uint32_t>(slot));
-    } else if (!want && present) {
-      cands.erase(it);
-    }
-    std::uint64_t& word = cca_audible_[s * cca_words_ + slot / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    if (p >= phy_.cca_threshold) {
-      word |= bit;
-    } else {
-      word &= ~bit;
-    }
-  }
+  // Touched-cell column repair: only senders within the 3x3 cell
+  // neighborhood can be above a culling floor with this slot, and any
+  // links held near the OLD position were scrubbed at detach — so the
+  // new neighborhood is the whole column.
+  for_each_neighbor_slot(cell, [&](std::uint32_t s) {
+    if (s != slot) repair_link(s, static_cast<std::uint32_t>(slot));
+  });
 }
 
 void Channel::on_tx_power_changed(const Radio& radio) {
   // A dirty cache re-derives everything on next use anyway; only a
   // frozen cache holds stale powers for this sender's row.
   if (!cache_valid_ || !has_cache_slot(radio)) return;
-  if (sparse_mode_) {
-    if (radio.effective_tx_power().value() > max_tx_dbm_) {
-      // Louder than the radius was derived for: the cull may now miss
-      // candidates, so pay one full rebuild instead of guessing.
-      cache_valid_ = false;
-      return;
-    }
-    rebuild_sparse_row(radio.channel_index());
+  if (radio.effective_tx_power().value() > max_tx_dbm_) {
+    // Louder than the radius was derived for: the cull may now miss
+    // candidates, so pay one full rebuild instead of guessing.
+    cache_valid_ = false;
     return;
   }
   rebuild_row(radio.channel_index());
 }
 
 std::size_t Channel::candidate_count(const Radio& sender) {
-  if (!phy_.use_link_cache) {
-    // Slow-path configs must never allocate the cache arrays for an
-    // introspection call: compute the count per pair instead.
-    std::size_t count = 0;
-    for (const Radio* r : radios_) {
-      if (r == nullptr || r == &sender) continue;
-      if (rx_power(sender, *r) >=
-          r->noise_floor() + phy_.reception_cutoff_margin) {
-        ++count;
-      }
-    }
-    return count;
-  }
-  ensure_cache();
-  if (!has_cache_slot(sender)) return 0;
-  if (sparse_mode_) {
-    std::size_t count = 0;
-    for (const SparseLink& link : sparse_rows_[sender.channel_index()]) {
+  if (phy_.use_link_cache) ensure_cache();
+  std::size_t count = 0;
+  if (cache_valid_ && has_cache_slot(sender)) {
+    for (const SparseLink& link : rows_[sender.channel_index()]) {
       if (link.candidate && radios_[link.receiver] != nullptr) ++count;
     }
     return count;
   }
-  return candidates_[sender.channel_index()].size();
+  // No row: count per pair, without building any.
+  for (const Radio* r : radios_) {
+    if (r == nullptr || r == &sender) continue;
+    if (rx_power(sender, *r) >=
+        r->noise_floor() + phy_.reception_cutoff_margin) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 // --- ActiveTx pool ----------------------------------------------------
@@ -577,51 +476,25 @@ void Channel::release_tx(ActiveTx* tx) {
 
 bool Channel::busy_at(const Radio& listener) {
   const sim::Time now = sim_.now();
-  bool fast_listener = false;
-  std::size_t li = 0;
-  if (phy_.use_link_cache) {
-    ensure_cache();
-    // A detached-but-alive listener has no cache slot; it falls back to
-    // the per-pair computation (identical values, just slower).
-    if (has_cache_slot(listener)) {
-      fast_listener = true;
-      li = listener.channel_index();
-    }
-  }
+  if (phy_.use_link_cache) ensure_cache();
+  // A detached-but-alive listener has no slot, so no row can hold it.
+  const bool has_slot = cache_valid_ && has_cache_slot(listener);
+  const auto li = static_cast<std::uint32_t>(listener.channel_index());
   for (const ActiveTx* tx : active_) {
     if (tx->sender == &listener || tx->sender == nullptr) continue;
     if (tx->end <= now) continue;
-    if (fast_listener && tx->cached) {
-      if (sparse_mode_) {
-        const SparseLink* link =
-            find_link(tx->sender_index, static_cast<std::uint32_t>(li));
-        if (link != nullptr && link->audible) return true;
-      } else if (cca_audible(tx->sender_index, li)) {
-        return true;
-      }
+    if (has_slot && tx->cached) {
+      // The row is authoritative for audibility: a pair it lacks is
+      // below the CCA threshold.
+      const SparseLink* link = find_link(tx->sender_index, li);
+      if (link != nullptr && link->audible) return true;
     } else if (rx_power(*tx->sender, listener) >= phy_.cca_threshold) {
+      // One listener against many senders has no one-sender batch to
+      // form; the single pair is the same double the batch computes.
       return true;
     }
   }
   return false;
-}
-
-double Channel::interference_term(const ActiveTx& other, std::uint32_t ri,
-                                  Radio& r) {
-  if (!other.cached) return rx_power(*other.sender, r).milliwatts();
-  if (sparse_mode_) {
-    // Pairs outside the stored row (below every culling floor, or
-    // beyond the radius) fall back to the per-pair computation — the
-    // same double the dense matrix would have held, so interference
-    // sums stay bit-identical across all three paths. The memo-free
-    // entry point: distinct (interferer, receiver) pairs grow without
-    // bound over a long run, and feeding them to the memo would rebuild
-    // the O(N²) footprint the sparse path exists to avoid.
-    const SparseLink* link = find_link(other.sender_index, ri);
-    if (link != nullptr) return link->gain_mw;
-    return rx_power_uncached(*other.sender, r).milliwatts();
-  }
-  return gain_mw_[other.sender_index * n_ + ri];
 }
 
 // Inline: pass A calls this once per interference-free reception, and an
@@ -632,14 +505,59 @@ inline Channel::PrrMemo Channel::prr_memo(const ActiveTx& tx,
   // A slot is trusted only while the row still holds the gain this
   // reception captured: a mid-flight tx-power change re-derives the row,
   // and in-flight frames keep their old power.
-  if (sparse_mode_) {
-    SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
-    if (link == nullptr || link->gain_dbm != rx.rx_power.value()) return {};
-    return {&link->prr_bytes, &link->prr_val};
+  SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
+  if (link == nullptr || link->gain_dbm != rx.rx_power.value()) return {};
+  return {&link->prr_bytes, &link->prr_val};
+}
+
+void Channel::gather_receivers(const ActiveTx& tx, sim::Time now) {
+  scratch_rx_.clear();
+  scratch_slot_.clear();
+  scratch_gain_dbm_.clear();
+  const auto take = [&](std::uint32_t slot, double gain_dbm) {
+    Radio* r = radios_[slot];
+    if (r == nullptr) return;  // tombstoned slot: receiver is gone
+    // A sleeping receiver (LPL between samples) hears nothing.
+    if (!r->listening()) return;
+    // Half-duplex: a radio mid-transmission cannot hear this packet. (A
+    // radio that *starts* transmitting later overlaps too, but CSMA
+    // makes that rare and the additive-interference model already
+    // punishes it.)
+    if (r->transmitting_until() > now) return;
+    scratch_rx_.push_back(r);
+    scratch_slot_.push_back(slot);
+    scratch_gain_dbm_.push_back(gain_dbm);
+  };
+  if (tx.cached) {
+    const std::vector<SparseLink>& row = rows_[tx.sender_index];
+    if (complete(row)) {
+      for (const std::uint32_t r : row_candidates_[tx.sender_index]) {
+        take(r, row[r].gain_dbm);
+      }
+    } else {
+      for (const SparseLink& link : row) {
+        if (link.candidate) take(link.receiver, link.gain_dbm);
+      }
+    }
+    return;
   }
-  const std::size_t pi = tx.sender_index * n_ + rx.receiver_index;
-  if (gain_dbm_[pi] != rx.rx_power.value()) return {};
-  return {&prr_bytes_[pi], &prr_val_[pi]};
+  // No row: one batch over every other live radio, in slot order; the
+  // reception cutoff then applies to the computed powers.
+  clear_batch();
+  for (std::size_t slot = 0; slot < radios_.size(); ++slot) {
+    const Radio* r = radios_[slot];
+    if (r != nullptr && r != tx.sender) {
+      push_batch(*r, static_cast<std::uint32_t>(slot));
+    }
+  }
+  const std::span<const double> rx_dbm = batch_rx_dbm(*tx.sender);
+  for (std::size_t j = 0; j < rx_dbm.size(); ++j) {
+    const std::uint32_t slot = batch_target_[j].slot;
+    if (PowerDbm{rx_dbm[j]} >=
+        radios_[slot]->noise_floor() + phy_.reception_cutoff_margin) {
+      take(slot, rx_dbm[j]);
+    }
+  }
 }
 
 void Channel::start_transmission(Radio& sender,
@@ -647,8 +565,7 @@ void Channel::start_transmission(Radio& sender,
                                  Radio::TxDoneHandler done) {
   FOURBIT_ASSERT(!sender.transmitting(),
                  "radio cannot start a second concurrent transmission");
-  const bool fast = phy_.use_link_cache;
-  if (fast) ensure_cache();
+  if (phy_.use_link_cache) ensure_cache();
 
   const sim::Time now = sim_.now();
   const sim::Duration airtime = phy_.airtime(frame.size());
@@ -665,161 +582,67 @@ void Channel::start_transmission(Radio& sender,
 
   ActiveTx* tx = acquire_tx();
   tx->sender = &sender;
-  tx->cached = fast && has_cache_slot(sender);
+  tx->cached = cache_valid_ && has_cache_slot(sender);
   tx->sender_index =
       tx->cached ? static_cast<std::uint32_t>(sender.channel_index()) : 0;
   tx->start = now;
   tx->end = end;
   tx->frame.assign(frame.begin(), frame.end());
 
-  // Enumerate candidate receivers and seed their interference with the
-  // transmissions already in the air. A cached sender's precomputed
-  // candidates are visited in slot (attach) order — the same receivers,
-  // in the same order, as the per-pair full scan — so RNG draws line up
-  // bitwise; a detached-but-alive sender has no cache row and takes the
-  // per-pair scan.
-  if (tx->cached) {
-    // Pass 1 gathers the live candidates into contiguous scratch arrays;
-    // pass 2 accumulates interference outer over active transmissions,
-    // inner over the gathered receivers. Each receiver's accumulator
-    // still adds its terms in active-set order, so every sum matches the
-    // per-pair path bitwise, while the dense inner loop is a fixed-order
-    // walk over two flat arrays.
-    scratch_rx_.clear();
-    scratch_slot_.clear();
-    scratch_gain_dbm_.clear();
-    if (sparse_mode_) {
-      for (const SparseLink& link : sparse_rows_[tx->sender_index]) {
-        if (!link.candidate) continue;
-        Radio* r = radios_[link.receiver];
-        if (r == nullptr) continue;  // tombstoned slot: receiver is gone
-        // A sleeping receiver (LPL between samples) hears nothing.
-        if (!r->listening()) continue;
-        // Half-duplex: a radio mid-transmission cannot hear this packet.
-        if (r->transmitting_until() > now) continue;
-        scratch_rx_.push_back(r);
-        scratch_slot_.push_back(link.receiver);
-        scratch_gain_dbm_.push_back(link.gain_dbm);
-      }
-    } else {
-      const double* row_dbm = &gain_dbm_[tx->sender_index * n_];
-      for (const std::uint32_t ri : candidates_[tx->sender_index]) {
-        Radio* r = radios_[ri];
-        if (r == nullptr) continue;
-        if (!r->listening()) continue;
-        if (r->transmitting_until() > now) continue;
-        scratch_rx_.push_back(r);
-        scratch_slot_.push_back(ri);
-        scratch_gain_dbm_.push_back(row_dbm[ri]);
-      }
-    }
-    const std::size_t m = scratch_rx_.size();
-    scratch_interf_.assign(m, 0.0);
-    double* acc = scratch_interf_.data();
-    const std::uint32_t* slots = scratch_slot_.data();
-    for (const ActiveTx* other : active_) {
-      if (other->sender == nullptr || other->end <= now) continue;
-      if (other->cached && !sparse_mode_) {
-        const double* row_mw = &gain_mw_[other->sender_index * n_];
-        for (std::size_t i = 0; i < m; ++i) {
-          acc[i] += row_mw[slots[i]];
-        }
-      } else if (other->cached) {
-        // Stored links add their cached gain; the far-field pairs off
-        // the interferer's row go through one propagation batch. Each
-        // accumulator takes exactly one term per interferer, so the
-        // deferred adds keep every sum's active-set order.
-        clear_batch();
-        for (std::size_t i = 0; i < m; ++i) {
-          if (const SparseLink* link = find_link(other->sender_index, slots[i]);
-              link != nullptr) {
-            acc[i] += link->gain_mw;
-          } else {
-            push_batch(*scratch_rx_[i], slots[i], &acc[i]);
-          }
-        }
-        add_batch_interference(*other->sender);
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          acc[i] += interference_term(*other, slots[i], *scratch_rx_[i]);
-        }
-      }
-    }
-    tx->receivers.reserve(m);
+  // Gather the candidate receivers (contiguous scratch arrays, slot
+  // order), then seed their interference with the transmissions already
+  // in the air: outer over active transmissions, inner over the gathered
+  // receivers. Each receiver's accumulator adds its terms in active-set
+  // order whichever source a term comes from, so every sum is the same
+  // with or without rows.
+  gather_receivers(*tx, now);
+  const std::size_t m = scratch_rx_.size();
+  scratch_interf_.assign(m, 0.0);
+  double* acc = scratch_interf_.data();
+  const std::uint32_t* slots = scratch_slot_.data();
+  for (const ActiveTx* other : active_) {
+    if (other->sender == nullptr || other->end <= now) continue;
+    // Pairs in the interferer's row add the stored gain; the rest go
+    // through one propagation batch. Each accumulator takes exactly one
+    // term per interferer, so the deferred adds keep every sum's order.
+    clear_batch();
     for (std::size_t i = 0; i < m; ++i) {
-      tx->receivers.push_back(PendingRx{scratch_rx_[i], scratch_slot_[i],
-                                        PowerDbm{scratch_gain_dbm_[i]},
-                                        scratch_interf_[i]});
-    }
-  } else {
-    for (Radio* r : radios_) {
-      if (r == nullptr || r == &sender) continue;
-      if (!r->listening()) continue;
-      // (A radio that *starts* transmitting later overlaps too, but CSMA
-      // makes that rare and the additive-interference model already
-      // punishes it.)
-      if (r->transmitting_until() > now) continue;
-
-      const PowerDbm p = rx_power(sender, *r);
-      if (p < r->noise_floor() + phy_.reception_cutoff_margin) continue;
-
-      const std::uint32_t ri =
-          fast ? static_cast<std::uint32_t>(r->channel_index()) : 0;
-      double interference_mw = 0.0;
-      for (const ActiveTx* other : active_) {
-        if (other->sender == nullptr || other->end <= now) continue;
-        interference_mw += interference_term(*other, ri, *r);
+      if (const SparseLink* link = stored_link(*other, slots[i]);
+          link != nullptr) {
+        acc[i] += link->gain_mw;
+      } else {
+        push_batch(*scratch_rx_[i], slots[i], &acc[i]);
       }
-      tx->receivers.push_back(PendingRx{r, ri, p, interference_mw});
     }
+    add_batch_interference(*other->sender);
+  }
+  tx->receivers.reserve(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    tx->receivers.push_back(PendingRx{scratch_rx_[i], scratch_slot_[i],
+                                      PowerDbm{scratch_gain_dbm_[i]},
+                                      scratch_interf_[i]});
   }
 
   // This transmission interferes with every reception already in flight:
   // the per-receiver accumulators are maintained incrementally, never
-  // rescanned.
-  if (tx->cached && !sparse_mode_) {
-    // The new sender's dense row holds every term this pass can produce,
-    // so hoist the row base and add straight from it — the same doubles,
-    // the same (other, receiver) nesting order, minus the per-pair
-    // dispatch of interference_term.
-    const double* row_mw = &gain_mw_[tx->sender_index * n_];
-    for (ActiveTx* other : active_) {
-      if (other->end <= now) continue;
-      for (PendingRx& rx : other->receivers) {
-        if (rx.receiver == &sender) continue;
-        rx.interference_mw += row_mw[rx.receiver_index];
-      }
-    }
-  } else if (tx->cached) {
-    // Sparse: in-flight receptions on the new sender's row add the
-    // stored gain; every other one is a far-field term, and all of them
-    // go through one propagation batch. Each accumulator takes exactly
-    // one term here, so deferring the batched adds reorders nothing.
-    clear_batch();
-    for (ActiveTx* other : active_) {
-      if (other->end <= now) continue;
-      for (PendingRx& rx : other->receivers) {
-        if (rx.receiver == &sender) continue;
-        if (const SparseLink* link =
-                find_link(tx->sender_index, rx.receiver_index);
-            link != nullptr) {
-          rx.interference_mw += link->gain_mw;
-        } else {
-          push_batch(*rx.receiver, rx.receiver_index, &rx.interference_mw);
-        }
-      }
-    }
-    add_batch_interference(sender);
-  } else {
-    for (ActiveTx* other : active_) {
-      if (other->end <= now) continue;
-      for (PendingRx& rx : other->receivers) {
-        if (rx.receiver == &sender) continue;
-        rx.interference_mw +=
-            interference_term(*tx, rx.receiver_index, *rx.receiver);
+  // rescanned. Receptions on the new sender's row add the stored gain;
+  // every other one goes through one propagation batch. Each accumulator
+  // takes exactly one term here, so deferring the batched adds reorders
+  // nothing.
+  clear_batch();
+  for (ActiveTx* other : active_) {
+    if (other->end <= now) continue;
+    for (PendingRx& rx : other->receivers) {
+      if (rx.receiver == &sender) continue;
+      if (const SparseLink* link = stored_link(*tx, rx.receiver_index);
+          link != nullptr) {
+        rx.interference_mw += link->gain_mw;
+      } else {
+        push_batch(*rx.receiver, rx.receiver_index, &rx.interference_mw);
       }
     }
   }
+  add_batch_interference(sender);
 
   active_.push_back(tx);
 
@@ -880,13 +703,16 @@ void Channel::finish_transmission(ActiveTx* tx) {
   }
 
   const std::size_t frame_bytes = tx->frame.size() + phy_.phy_overhead_bytes;
+  // The memo keeps frame sizes in 16 bits; a larger frame goes without.
+  const bool memo_fits =
+      frame_bytes <= std::numeric_limits<std::uint16_t>::max();
 
   // While the cache is frozen, every pending receiver_index is a live
-  // slot (rebuild_cache remaps in-flight receptions), so pass A can read
-  // the precomputed noise terms and PRR memo. Otherwise — the per-pair
-  // path, or an attach past the slot peak while this frame was in the
-  // air — it derives the noise from the radio and skips the memo.
-  const bool frozen = phy_.use_link_cache && cache_valid_;
+  // slot it covers, so pass A can read the precomputed noise terms and
+  // the row's PRR memo. Otherwise — no rows at all, or an attach past the
+  // slot peak while this frame was in the air — it derives the noise
+  // from the radio and skips the memo.
+  const bool frozen = cache_valid_;
 
   // Pass A computes every receiver's SINR and PRR into contiguous
   // scratch arrays (memo hits served in place, the misses funneled
@@ -912,7 +738,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
       scratch_sinr_[i] = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
       // Interference-free PRR is a pure function of (pair gain, frame
       // size), so it is served from the sender's memo when it has one.
-      if (tx->cached) memo = prr_memo(*tx, rx);
+      if (tx->cached && memo_fits) memo = prr_memo(*tx, rx);
       if (memo.bytes != nullptr && *memo.bytes == frame_bytes) {
         scratch_prr_[i] = *memo.val;
         continue;
@@ -939,7 +765,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
     const double prr = scratch_miss_prr_[j];
     scratch_prr_[scratch_miss_[j]] = prr;
     if (const PrrMemo memo = scratch_miss_memo_[j]; memo.bytes != nullptr) {
-      *memo.bytes = static_cast<std::uint32_t>(frame_bytes);
+      *memo.bytes = static_cast<std::uint16_t>(frame_bytes);
       *memo.val = prr;
     }
   }

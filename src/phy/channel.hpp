@@ -11,59 +11,54 @@
 // is the physical effect the paper's white bit (and MultiHopLQI's
 // failure mode) hinges on.
 //
-// Three representations feed that model:
-//   * slow path (PhyConfig::use_link_cache = false) — per-pair
-//     propagation-loss hash lookups, every radio scanned per
-//     transmission. The reference the delivery-digest tests compare
-//     against; with the cache on, only a detached-but-alive sender (no
-//     cache slot) still scans per pair.
-//   * dense link cache (default) — positions, tx powers and shadowing
-//     are static per trial, so on topology freeze the channel
-//     precomputes a flat N x N rx-power matrix (dBm and milliwatts) plus
-//     per-sender culled neighbor lists: reception candidates (pairs
-//     above noise_floor + reception_cutoff_margin) and a CCA-audible
-//     bitset. start_transmission then iterates O(degree) and busy_at
-//     tests precomputed bits. The cached doubles are the exact values
-//     the slow path computes, and candidates are visited in the same
-//     order, so RNG draw sequences — and therefore all metrics — are
-//     bit-identical between paths (tests/channel_fastpath_test.cpp).
-//   * sparse rows (PhyConfig::use_spatial_index on top of the link
-//     cache) — the freeze bins radios into a uniform grid whose cell
-//     size is a conservative receive-floor radius, then stores per
-//     sender only the links above the reception or CCA floor as a
-//     compressed row sorted by receiver slot (the same attach order the
-//     other paths visit). O(N·degree) memory/freeze cost instead of
-//     O(N²). Interference from a sender whose row lacks the receiver (a
-//     far-field term) comes from the propagation model, batched per
-//     sender through PropagationModel::gain_mw_batch: one call per
-//     interferer in the forward pass, one per new sender over every
-//     in-flight reception in the back-substitution. Those are the
-//     doubles the per-pair path computes, added in the same order, so
-//     sums stay bit-identical (tests/channel_sparse_test.cpp).
+// One row store feeds that model. On topology freeze the channel bins
+// live radios into a uniform grid and gives every sender a row of
+// SparseLink entries sorted by receiver slot: rx power in dBm and mW, a
+// reception-candidate flag (above noise_floor + reception_cutoff_margin),
+// a CCA-audible flag, and a per-pair PRR memo. Without
+// PhyConfig::use_spatial_index the grid is one cell and every row is
+// complete — one entry per slot, indexed by slot with no search, plus a
+// list of the row's candidate slots. With it, the cell size is a
+// conservative receive-floor radius and a row keeps only the pairs above
+// the reception or CCA floor, found by a 3x3 cell scan: O(N·degree)
+// memory and freeze cost instead of O(N²).
 //
-// One set of kernels serves all three. start_transmission gathers a
-// cached sender's candidates into contiguous arrays and accumulates
-// interference outer over the active transmissions; finish_transmission
-// computes every receiver's SINR and PRR in one pass (misses batched
-// through Modulation::prr_batch, interference-free pairs served from a
-// per-pair memo while the cache is frozen) before the sequential pass
-// that draws the RNG. Row rebuilds, like far-field terms, evaluate one
-// sender's pairs in one propagation batch. Every sum adds the same terms
-// in the same order, so results never depend on which representation is
-// active.
+// Every kernel follows one rule: a pair's gain comes from the sender's
+// row when the row holds it, and from the propagation model otherwise —
+// PropagationModel::rx_dbm_batch / gain_mw_batch, one call per sender
+// over all of its receivers that the row lacks. A sender with no row
+// (PhyConfig::use_link_cache = false, or a radio detached while it still
+// transmits) takes every term from the batch: the reference the
+// delivery-digest tests compare against is the same loop run with no
+// rows. A row is authoritative for who is a candidate and who hears the
+// carrier; only interference sums reach past it. The stored doubles are
+// the ones the model computes, receivers are visited in slot (attach)
+// order and every sum adds the same terms in the same order, so RNG draw
+// sequences and all metrics are bit-identical with or without rows
+// (tests/channel_fastpath_test.cpp, tests/channel_sparse_test.cpp; with
+// culled rows, up to the shadowing headroom of DESIGN.md §8.8).
+//
+// start_transmission gathers the sender's candidates into contiguous
+// arrays and accumulates interference outer over the active
+// transmissions; finish_transmission computes every receiver's SINR and
+// PRR in one pass (misses batched through Modulation::prr_batch,
+// interference-free pairs served from the row's memo while the cache is
+// frozen) before the sequential pass that draws the RNG.
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
-// it (repairing only the touched rows/cells when a cache is frozen), so
+// it (repairing only the touched rows when a cache is frozen), so
 // fault-plan churn — crash/reboot cycles that destroy and re-create a
-// radio — never forces a full O(N²) rebuild. The `phy/cache_rebuilds`
+// radio — never forces a full rebuild. The `phy/cache_rebuilds`
 // telemetry counter counts full rebuilds.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -115,9 +110,15 @@ class Channel {
   /// carrier died mid-frame; nothing is delivered). Safe to call with
   /// receptions or the radio's own transmission in flight — in-flight
   /// state is scrubbed/tombstoned, never left dangling. The slot is
-  /// tombstoned, not erased, so a frozen cache stays frozen (a frozen
-  /// sparse index also drops every stored link to the slot, so a later
-  /// reuse at any position starts from a clean column).
+  /// tombstoned, not erased, so a frozen cache stays frozen; every stored
+  /// link to the slot is dropped, so a later reuse at any position starts
+  /// from a clean column.
+  ///
+  /// Detach makes a radio deaf, not mute. A radio that outlives its
+  /// detach (runner::Network detaches without destroying) can still
+  /// transmit: its later frames go on the air and reach every attached
+  /// receiver, and its CCA still senses them. Having no slot, it has no
+  /// row, so every term of those frames comes from the propagation batch.
   void detach(Radio& radio);
 
   // --- Fault injection -------------------------------------------------
@@ -173,10 +174,10 @@ class Channel {
   /// invalidated since.
   [[nodiscard]] bool link_cache_frozen() const { return cache_valid_; }
 
-  /// Reception candidates of `sender` (receivers above the cutoff
-  /// margin, in attach order). With the fast path on this freezes the
-  /// cache on demand; with it off the count is computed per pair —
-  /// introspection must not allocate the N² arrays in slow-path configs.
+  /// Reception candidates of `sender` (live receivers above the cutoff
+  /// margin). With the link cache on this freezes the cache on demand and
+  /// counts the sender's row; a sender with no row is counted per pair —
+  /// introspection must not build rows in configs that run without them.
   [[nodiscard]] std::size_t candidate_count(const Radio& sender);
 
   /// Full cache rebuilds so far (also exported as the telemetry counter
@@ -187,15 +188,15 @@ class Channel {
   }
 
   /// Receive-floor radius of the frozen spatial index, in meters (0 when
-  /// the sparse path is off or the cache is not frozen).
+  /// rows are complete or the cache is not frozen).
   [[nodiscard]] double spatial_radius_m() const {
-    return cache_valid_ && sparse_mode_ ? radius_m_ : 0.0;
+    return cache_valid_ && !rows_complete() ? radius_m_ : 0.0;
   }
 
  private:
   struct PendingRx {
     Radio* receiver;
-    std::uint32_t receiver_index;  // cache slot; valid while frozen
+    std::uint32_t receiver_index;  // the receiver's slot
     PowerDbm rx_power;
     double interference_mw;  // accumulated concurrent-tx power
   };
@@ -215,64 +216,80 @@ class Channel {
           receivers(sim::ArenaAllocator<PendingRx>{arena}) {}
     Radio* sender = nullptr;  // nullptr = tombstone (sender detached)
     std::uint32_t sender_index = 0;
-    bool cached = false;  // sender had a cache slot when this tx started
+    bool cached = false;  // sender had a row when this tx started
     sim::Time start;
     sim::Time end;
     ArenaBytes frame;
     ArenaRxVec receivers;
   };
 
-  [[nodiscard]] PowerDbm rx_power(const Radio& from, const Radio& to);
-  /// Same value bitwise, but skips the propagation memo — used by cache
-  /// rebuilds so freeze-time sweeps don't grow the memo by O(N·degree).
-  [[nodiscard]] PowerDbm rx_power_uncached(const Radio& from,
-                                           const Radio& to) const;
+  [[nodiscard]] PowerDbm rx_power(const Radio& from, const Radio& to) const;
   void finish_transmission(ActiveTx* tx);
   void deliver_corrupt(Radio& r, const ActiveTx& tx, const PendingRx& rx,
                        double sinr_db);
   [[nodiscard]] bool white_bit(const RxInfo& info) const;
 
-  // --- fast-path link cache --------------------------------------------
+  // --- link rows ---------------------------------------------------------
+  /// One stored link of a sender's row: rx power both in dBm (thresholds,
+  /// SINR) and milliwatts (interference sums; stored so a term costs no
+  /// pow()), the candidate and audible flags, and the per-pair PRR memo.
+  /// Interference-free PRR is a pure function of (pair gain, frame
+  /// size), so the memo remembers the last size seen; it is trusted only
+  /// while `gain_dbm` still equals the power a reception captured (a
+  /// mid-flight tx-power change re-derives the row, and in-flight frames
+  /// keep their old power).
+  struct SparseLink {
+    std::uint32_t receiver = 0;   // slot index, ascending within a row
+    // PRR memo key: last frame size (0 = empty). Frames too large for 16
+    // bits are not memoized.
+    std::uint16_t prr_bytes = 0;
+    bool candidate = false;       // above the receiver's reception cutoff
+    bool audible = false;         // above the CCA threshold
+    double gain_dbm = 0.0;
+    double gain_mw = 0.0;
+    double prr_val = 0.0;
+  };
+  // Two links per cache line, and a complete row's length check is a
+  // shift, not a division.
+  static_assert(sizeof(SparseLink) == 32);
+
   void ensure_cache();
   void rebuild_cache();
+  /// True when the frozen grid culls nothing (no spatial index): one
+  /// cell, and every row complete.
+  [[nodiscard]] bool rows_complete() const;
+  /// A complete row holds one entry per slot (self and tombstones
+  /// included, flags clear); a culled row never holds its own sender, so
+  /// it is always shorter.
+  [[nodiscard]] bool complete(const std::vector<SparseLink>& row) const {
+    return row.size() == n_;
+  }
+  /// Re-derives sender `s`'s row from the propagation model: one batch
+  /// over the live slots of its 3x3 cell neighborhood (every live slot
+  /// when the grid is one cell). Resets the row's PRR memos.
   void rebuild_row(std::size_t s);
+  /// The link from a pair's rx power, flags set against receiver `r`'s
+  /// reception cutoff and the CCA threshold.
+  [[nodiscard]] SparseLink make_link(std::uint32_t r, PowerDbm p) const;
+  /// Re-derives sender `s`'s link to receiver slot `r` from the live
+  /// pair: inserts, updates or erases the entry of a culled row, rewrites
+  /// the entry of a complete row. A tombstoned receiver gets no link.
+  void repair_link(std::size_t s, std::uint32_t r);
   /// Incremental repair when attach reuses tombstoned slot `slot` while
   /// a cache is frozen: re-derives the slot's own row plus every other
-  /// sender's entry for it (dense: one column walk; sparse: only senders
-  /// in the 3x3 cell neighborhood of the new radio's position — links
-  /// held near the OLD position were already scrubbed at detach). A
-  /// reused slot the frozen radius cannot vouch for — louder tx power
-  /// than `max_tx_dbm_`, reception cutoff below `min_floor_dbm_`, or a
-  /// position off the grid — invalidates the sparse cache instead.
+  /// sender's link to it — the senders in the 3x3 cell neighborhood of
+  /// the new radio's position (links held near the OLD position were
+  /// scrubbed at detach). A reused slot the frozen radius cannot vouch
+  /// for — louder tx power than `max_tx_dbm_`, reception cutoff below
+  /// `min_floor_dbm_`, or a position off the grid — invalidates the
+  /// cache instead.
   void repair_reused_slot(std::size_t slot);
-  [[nodiscard]] bool cca_audible(std::size_t sender_idx,
-                                 std::size_t listener_idx) const {
-    return (cca_audible_[sender_idx * cca_words_ + listener_idx / 64] >>
-            (listener_idx % 64)) &
-           1u;
-  }
   /// True when `radio` currently owns cache slot `radio.channel_index()`
   /// (false for radios that were detached but kept transmitting).
   [[nodiscard]] bool has_cache_slot(const Radio& radio) const {
     return radio.channel_index() < radios_.size() &&
            radios_[radio.channel_index()] == &radio;
   }
-
-  // --- sparse spatial index --------------------------------------------
-  /// One stored link of a sender's compressed row: a pair above the
-  /// reception cutoff (candidate) and/or the CCA threshold (audible).
-  /// Rows are sorted by receiver slot — the attach order every path
-  /// visits — and carry the same memoized per-pair PRR the dense matrix
-  /// keeps.
-  struct SparseLink {
-    std::uint32_t receiver = 0;   // slot index, ascending within a row
-    std::uint32_t prr_bytes = 0;  // PRR memo: last frame size (0 = empty)
-    double gain_dbm = 0.0;
-    double gain_mw = 0.0;
-    double prr_val = 0.0;
-    bool candidate = false;
-    bool audible = false;
-  };
 
   [[nodiscard]] double receive_floor_radius(double max_tx_dbm,
                                             double floor_dbm) const;
@@ -294,39 +311,52 @@ class Channel {
       }
     }
   }
-  void rebuild_sparse_row(std::size_t s);
-  /// Erases every stored link to receiver slot `slot` from the rows of
-  /// senders in the 3x3 neighborhood of `cell` (the slot's cell when it
-  /// was live — row construction is neighborhood-symmetric, so those are
-  /// the only rows that can hold one). Called at detach so a later slot
-  /// reuse at a different position cannot inherit stale links from
-  /// senders near the old occupant.
-  void scrub_sparse_links_to(std::size_t slot, std::size_t cell);
-  /// Recomputes sender `s`'s stored link to receiver slot `r` from the
-  /// propagation model: inserts, updates or erases the row entry so it
-  /// again reflects the live pair.
-  void repair_sparse_link(std::size_t s, std::size_t r);
+  /// Sender `sender`'s stored link to receiver slot `receiver`, or null
+  /// when the row does not hold the pair. Requires a frozen cache.
+  /// Inline: the interference passes call it once per pair, and out of
+  /// line it cost ~8 % of `tutornet` (DESIGN.md §8.17).
   [[nodiscard]] const SparseLink* find_link(std::size_t sender,
-                                            std::uint32_t receiver) const;
+                                            std::uint32_t receiver) const {
+    const std::vector<SparseLink>& row = rows_[sender];
+    // Far-field pairs, nearly every lookup at large N, usually fall
+    // outside a culled row's slot range; settle those first (testing
+    // completeness first cost `sparse_10k` 2-5 %, DESIGN.md §8.17).
+    if (row.empty() || receiver < row.front().receiver ||
+        receiver > row.back().receiver) {
+      return nullptr;
+    }
+    if (complete(row)) return &row[receiver];
+    const auto it = std::lower_bound(
+        row.begin(), row.end(), receiver,
+        [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
+    return it->receiver == receiver ? &*it : nullptr;
+  }
   [[nodiscard]] SparseLink* find_link(std::size_t sender,
-                                      std::uint32_t receiver);
-  /// One pair's PRR memo entry (dense prr_bytes_/prr_val_ or a sparse
-  /// link's fields); null when there is none to trust.
+                                      std::uint32_t receiver) {
+    return const_cast<SparseLink*>(
+        std::as_const(*this).find_link(sender, receiver));
+  }
+  /// `tx`'s stored link to receiver slot `receiver`; null when the
+  /// sender has no row or its row lacks the pair.
+  [[nodiscard]] const SparseLink* stored_link(const ActiveTx& tx,
+                                              std::uint32_t receiver) const {
+    return tx.cached ? find_link(tx.sender_index, receiver) : nullptr;
+  }
+  /// One pair's PRR memo entry (a stored link's fields); null when there
+  /// is none to trust.
   struct PrrMemo {
-    std::uint32_t* bytes = nullptr;  // last frame size (0 = empty)
+    std::uint16_t* bytes = nullptr;  // last frame size (0 = empty)
     double* val = nullptr;
   };
-  /// The memo slot of cached sender `tx` for reception `rx`, or null
-  /// when the pair has no stored link or its gain no longer matches the
-  /// power the reception captured. Requires a frozen cache.
+  /// The memo slot of sender `tx` (which has a row) for reception `rx`,
+  /// or null when the row lacks the pair or its gain no longer matches
+  /// the power the reception captured. Requires a frozen cache.
   [[nodiscard]] PrrMemo prr_memo(const ActiveTx& tx, const PendingRx& rx);
-  /// Interference term of active transmission `other` at receiver `r`
-  /// (slot `ri`): cached gain when available, per-pair fallback
-  /// otherwise — same double either way. Serves every pair with a side
-  /// that has no cache row; cached sparse senders batch their far-field
-  /// terms instead.
-  [[nodiscard]] double interference_term(const ActiveTx& other,
-                                         std::uint32_t ri, Radio& r);
+  /// Gathers `tx`'s reception candidates that can hear at `now` into the
+  /// scratch_rx_/scratch_slot_/scratch_gain_dbm_ arrays, in slot order:
+  /// from the sender's row, or — no row — from one batch over every live
+  /// radio.
+  void gather_receivers(const ActiveTx& tx, sim::Time now);
 
   // --- one sender, many receivers: PropagationModel batches -------------
   /// Empties the receiver batch.
@@ -336,12 +366,12 @@ class Channel {
   void push_batch(const Radio& receiver, std::uint32_t slot,
                   double* acc = nullptr);
   /// rx power in dBm from `sender` at every batched receiver, in batch
-  /// order — the doubles rx_power_uncached() yields, bit for bit.
+  /// order — the doubles rx_power() yields, bit for bit.
   [[nodiscard]] std::span<const double> batch_rx_dbm(const Radio& sender);
   /// Adds `sender`'s power in mW at every batched receiver to that
-  /// receiver's accumulator — the same term interference_term() adds.
+  /// receiver's accumulator (nothing when the batch is empty).
   void add_batch_interference(const Radio& sender);
-
+  void evaluate_batch_interference(const Radio& sender);
   // --- ActiveTx pool ----------------------------------------------------
   [[nodiscard]] ActiveTx* acquire_tx();
   void release_tx(ActiveTx* tx);
@@ -388,41 +418,28 @@ class Channel {
   std::vector<PrrMemo> scratch_miss_memo_;  // write-back slot per miss
   std::vector<std::uint8_t> corrupt_scratch_;  // deliver_corrupt buffer
 
-  // Link cache (fast path): row-major [sender][receiver] rx power, both
-  // in dBm (thresholds, SINR) and milliwatts (interference sums; cached
-  // so the fast path skips the pow() the slow path pays per term —
-  // cached value == slow-path value bitwise). Rebuilt lazily after
-  // attach/detach; one row re-derived on a tx-power change.
+  // Link rows: one per slot, rebuilt lazily after an attach past the
+  // slot peak, repaired per slot on churn, one row re-derived on a
+  // tx-power change. A tombstoned slot's row is empty.
   bool cache_valid_ = false;
-  bool sparse_mode_ = false;   // frozen cache is the spatial index
-  std::size_t n_ = 0;          // slots covered by the frozen cache
-  std::size_t cca_words_ = 0;  // 64-bit words per CCA bitset row
-  std::vector<double> gain_dbm_;
-  std::vector<double> gain_mw_;
+  std::size_t n_ = 0;  // slots covered by the frozen cache
+  std::vector<std::vector<SparseLink>> rows_;
+  // Complete rows only (empty when rows are culled): each row's
+  // candidate receiver slots, ascending, so the gather visits the
+  // candidates instead of all N entries. Culled rows go without: the
+  // list cost sparse_10k memory and set-up time (DESIGN.md §8.17).
+  std::vector<std::vector<std::uint32_t>> row_candidates_;
   std::vector<double> rx_cutoff_dbm_;  // per-receiver reception cutoff
   // Per-receiver noise floor in mW, and that floor round-tripped through
   // from_milliwatts (== the SINR denominator when interference is zero):
   // spares the delivery loop a pow10 and, usually, a log10 per reception.
   std::vector<double> noise_mw_;
   std::vector<double> noise_dbm_;
-  // Per-pair PRR memo for interference-free receptions (the common
-  // case). Thermal SINR is fixed per pair, so PRR depends only on the
-  // frame size; each slot remembers the last size seen. Entries are only
-  // trusted while the pair's gain_dbm_ still equals the rx power the
-  // reception captured (a mid-flight tx-power change re-derives the row,
-  // and in-flight frames keep their old power). Zeroed size = empty.
-  std::vector<std::uint32_t> prr_bytes_;
-  std::vector<double> prr_val_;
-  std::vector<std::vector<std::uint32_t>> candidates_;  // per-sender
-  std::vector<std::uint64_t> cca_audible_;
 
-  // Sparse spatial index (use_spatial_index): per-sender compressed
-  // rows (see SparseLink) plus a uniform cell grid over live positions.
-  // Cell size >= the receive-floor radius, so a 3x3 neighborhood scan
-  // covers every pair the dense path would keep (up to the documented
-  // shadowing headroom). The dense matrices above stay empty in this
-  // mode and vice versa.
-  std::vector<std::vector<SparseLink>> sparse_rows_;
+  // Uniform cell grid over live positions. Cell size >= the
+  // receive-floor radius, so a 3x3 neighborhood scan covers every pair
+  // above a culling floor (up to the documented shadowing headroom).
+  // Without the spatial index the radius is infinite: one cell.
   std::vector<std::vector<std::uint32_t>> cells_;  // live slots per cell
   static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
   std::vector<std::uint32_t> slot_cell_;  // per-slot cell id (or kNoCell)
@@ -448,12 +465,12 @@ class Channel {
   std::unordered_map<std::uint64_t, double> link_faults_;
 
   // Receiver batch for PropagationModel's one-sender kernels (row
-  // rebuilds, far-field interference terms). Filled and consumed within
-  // one call that runs no user code, so it is never used reentrantly.
-  // Declared last so the members above keep their offsets: placed among
-  // them it cost `lpl` about 2 % (DESIGN.md §8.16).
+  // rebuilds, terms a row lacks, senders with no row). Filled and
+  // consumed within one call that runs no user code, so it is never used
+  // reentrantly. Declared last: placed among the hot members above it
+  // cost `lpl` about 2 % (DESIGN.md §8.16).
   struct BatchTarget {
-    double* acc;         // far-field term: the accumulator it adds to
+    double* acc;         // interference term: the accumulator it adds to
     std::uint32_t slot;  // row rebuild: the receiver's slot
   };
   std::vector<PropagationModel::Receiver> batch_rx_;

@@ -47,27 +47,29 @@ struct PhyConfig {
   /// RX/TX turnaround before a synchronous ACK goes on air.
   sim::Duration turnaround = sim::Duration::from_us(192);
 
-  /// Channel fast path: on topology freeze, precompute the N x N per-pair
-  /// rx-power matrix and per-sender neighbor lists (reception candidates
-  /// and CCA-audible sets), so start_transmission and busy_at touch only
-  /// reachable neighbors instead of every radio. Produces bit-identical
-  /// results to the slow path (same doubles, same RNG draw order); the
-  /// slow path survives as the reference for the determinism tests.
+  /// Link rows: on topology freeze the channel gives every sender a row
+  /// of stored links (rx power in dBm and mW, candidate and CCA-audible
+  /// flags, PRR memo), so start_transmission and busy_at touch only a
+  /// sender's candidates and stored gains instead of re-deriving every
+  /// pair from the propagation model. Off, no row is built and every
+  /// pair comes from the propagation batch: the same loop with no rows,
+  /// kept as the reference the delivery-digest tests compare against.
+  /// Results are bit-identical either way (same doubles, same RNG draw
+  /// order); this flag selects no code of its own.
   bool use_link_cache = true;
 
-  /// Sparse spatial channel (requires use_link_cache): instead of the
-  /// dense N x N matrices, the freeze builds a uniform grid over node
-  /// positions with cell size equal to a receive-floor radius — the
-  /// distance at which deterministic path loss alone puts the strongest
-  /// attached transmitter `spatial_headroom_sigmas` standard deviations
-  /// of shadowing below both the weakest receiver's reception cutoff and
-  /// the CCA threshold — and stores per-sender compressed rows holding
-  /// only pairs above one of those floors. Memory and freeze cost scale
-  /// O(N·degree) instead of O(N²), opening 10k+ node topologies; the
-  /// dense path remains the bit-exactness oracle at small N (candidate
-  /// rows are visited in the same attach-slot order, so RNG sequences
-  /// and all metrics match bitwise as long as no shadowing draw exceeds
-  /// the headroom — see DESIGN.md §8.8).
+  /// Culled rows (requires use_link_cache). Off, the freeze grid is one
+  /// cell and every row is complete: one entry per slot, indexed by slot.
+  /// On, the grid's cell size is a receive-floor radius — the distance
+  /// at which deterministic path loss alone puts the strongest attached
+  /// transmitter `spatial_headroom_sigmas` standard deviations of
+  /// shadowing below both the weakest receiver's reception cutoff and
+  /// the CCA threshold — and a row keeps only the pairs above one of
+  /// those floors, found by a 3x3 cell scan. Memory and freeze cost
+  /// scale O(N·degree) instead of O(N²), opening 10k+ node topologies;
+  /// interference terms a row lacks come from the propagation batch, so
+  /// results match complete rows bitwise as long as no shadowing draw
+  /// exceeds the headroom (DESIGN.md §8.8, §8.17).
   bool use_spatial_index = false;
 
   /// Shadowing headroom, in combined standard deviations

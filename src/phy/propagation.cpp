@@ -26,8 +26,8 @@ double forked_normal(const sim::Rng& rng, std::uint64_t key, double sigma) {
 
 }  // namespace
 
-double PropagationModel::compute(NodeId from, const Position& from_pos,
-                                 NodeId to, const Position& to_pos) const {
+Decibels PropagationModel::loss(NodeId from, const Position& from_pos,
+                                NodeId to, const Position& to_pos) const {
   const double d = std::max(distance_m(from_pos, to_pos), 0.5);
   const double deterministic =
       config_.reference_loss.value() + 10.0 * config_.exponent * std::log10(d);
@@ -42,24 +42,7 @@ double PropagationModel::compute(NodeId from, const Position& from_pos,
   const double directional = forked_normal(
       rng_, pair_key(from, to) ^ kDirectionalSalt, config_.asymmetry_sigma_db);
 
-  return deterministic + shadowing + directional;
-}
-
-Decibels PropagationModel::loss(NodeId from, const Position& from_pos,
-                                NodeId to, const Position& to_pos) {
-  const std::uint32_t key = pair_key(from, to);
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    return Decibels{it->second};
-  }
-  const double total = compute(from, from_pos, to, to_pos);
-  cache_.emplace(key, total);
-  return Decibels{total};
-}
-
-Decibels PropagationModel::loss_uncached(NodeId from, const Position& from_pos,
-                                         NodeId to,
-                                         const Position& to_pos) const {
-  return Decibels{compute(from, from_pos, to, to_pos)};
+  return Decibels{deterministic + shadowing + directional};
 }
 
 void PropagationModel::rx_dbm_batch(NodeId from, const Position& from_pos,
@@ -79,8 +62,8 @@ void PropagationModel::rx_dbm_batch(NodeId from, const Position& from_pos,
   double* const dir_r = batch_dir_r_.data();
   double* const dir_c = batch_dir_c_.data();
 
-  // Each stage applies one of compute()'s operations to every pair, in
-  // compute()'s order per pair, so each element sees the same roundings.
+  // Each stage applies one of loss()'s operations to every pair, in
+  // loss()'s order per pair, so each element sees the same roundings.
   // out_dbm holds the clamped distance, then the deterministic loss,
   // then the result. Stage 1: key mixing into uniforms, and distance.
   for (std::size_t i = 0; i < n; ++i) {

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -14,7 +13,7 @@
 
 namespace fourbit::phy {
 
-/// Computes (and caches) the loss between node antennas.
+/// Computes the loss between node antennas.
 ///
 /// loss(a->b) = ref_loss + 10 n log10(d) + S(a,b) + D(a->b)
 /// where S is a symmetric per-pair shadowing draw and D a smaller
@@ -26,18 +25,12 @@ class PropagationModel {
   PropagationModel(PropagationConfig config, sim::Rng rng)
       : config_(config), rng_(rng) {}
 
+  /// A pure function of (seed, ids, positions), computed on every call:
+  /// nothing is memoized, so a NodeId that comes back at a new position
+  /// gets the loss of the new geometry. Callers that need a pair's loss
+  /// repeatedly keep it themselves (phy::Channel's link rows).
   [[nodiscard]] Decibels loss(NodeId from, const Position& from_pos,
-                              NodeId to, const Position& to_pos);
-
-  /// Same value as loss() — bit-identical, it is a pure function of
-  /// (seed, pair, positions) — but computed afresh without reading or
-  /// growing the per-pair memo. The memo stores exactly what this
-  /// returns (a node keeps its position for its lifetime, DESIGN.md
-  /// §8.8), so there is nothing to look up. Per-pair repairs at large N
-  /// use it so they don't permanently grow the memo by O(N·degree).
-  [[nodiscard]] Decibels loss_uncached(NodeId from, const Position& from_pos,
-                                       NodeId to,
-                                       const Position& to_pos) const;
+                              NodeId to, const Position& to_pos) const;
 
   /// One receiver of a one-sender batch.
   struct Receiver {
@@ -45,8 +38,8 @@ class PropagationModel {
     Position pos;
   };
 
-  /// One sender, many receivers: out_dbm[i] = tx_dbm - loss_uncached(from
-  /// -> to[i]), bit for bit. The pairs run stage by stage (uniforms and
+  /// One sender, many receivers: out_dbm[i] = tx_dbm - loss(from ->
+  /// to[i]), bit for bit. The pairs run stage by stage (uniforms and
   /// distance, log10, log, cos, combine) over reused member scratch, so a
   /// call allocates nothing once the scratch has grown. `to` and
   /// `out_dbm` have the same length.
@@ -55,22 +48,19 @@ class PropagationModel {
 
   /// rx_dbm_batch followed by the milliwatt conversion:
   /// out_mw[i] = pow(10, (tx_dbm - loss) / 10), the bits
-  /// `(PowerDbm{tx_dbm} - loss_uncached(...)).milliwatts()` yields.
+  /// `(PowerDbm{tx_dbm} - loss(...)).milliwatts()` yields.
   void gain_mw_batch(NodeId from, const Position& from_pos, double tx_dbm,
                      std::span<const Receiver> to, std::span<double> out_mw);
 
   [[nodiscard]] const PropagationConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] double compute(NodeId from, const Position& from_pos,
-                               NodeId to, const Position& to_pos) const;
   [[nodiscard]] static std::uint32_t pair_key(NodeId a, NodeId b) {
     return static_cast<std::uint32_t>(a.value()) << 16 | b.value();
   }
 
   PropagationConfig config_;
   sim::Rng rng_;
-  std::unordered_map<std::uint32_t, double> cache_;
   // Batch scratch, one slot per receiver: the shadowing and directional
   // draws' u1 (then the Box–Muller radius) and u2 (then the cosine).
   std::vector<double> batch_shadow_r_;

@@ -1,8 +1,9 @@
 // The channel fast path's determinism contract: with the link cache on
-// (precomputed gain matrix, neighbor culling, pooled ActiveTx objects)
-// every observable — delivery streams, campaign metrics, RNG evolution —
-// must be bit-identical to the slow reference path, across thread
-// counts, under fault injection, and through cache invalidations.
+// (complete per-sender link rows, candidate lists, pooled ActiveTx
+// objects) every observable — delivery streams, campaign metrics, RNG
+// evolution — must be bit-identical to the slow reference path (the
+// same loop with no rows: every pair from the propagation batch), across
+// thread counts, under fault injection, and through cache invalidations.
 // Also covers the detach-mid-flight lifetime rules (run under the ASan
 // CI configuration).
 #include <gtest/gtest.h>
@@ -177,6 +178,37 @@ TEST(ChannelFastPathTest, FrameInFlightAcrossCacheInvalidationMatches) {
   EXPECT_EQ(fast, slow);
 }
 
+TEST(ChannelFastPathTest, OversizedFrameBypassesPrrMemo) {
+  // The per-pair PRR memo keys on the frame size in 16 bits. A frame
+  // whose size does not fit must not be memoized, or a later frame whose
+  // size matches the truncated key would reuse its PRR. On a marginal
+  // link the oversized frame's PRR is ~0 while the small frame's is not,
+  // so a leak changes which frames arrive intact, against the run with
+  // no rows.
+  auto run = [](bool fast) {
+    Pump p{fast, 0};
+    p.add_radio(NodeId{1}, Position{0.0, 0.0});
+    // Walk the receiver out until a 58-byte frame is a coin toss.
+    for (double d = 100.0;; d += 2.0) {
+      p.add_radio(NodeId{2}, Position{d, 0.0});
+      const double prr = p.channel.mean_prr(*p.radios[0], *p.radios[1], 58);
+      if ((prr > 0.3 && prr < 0.7) || d >= 1000.0) break;
+      p.radios.pop_back();
+    }
+    // 58 + 6 PHY bytes == 65600 mod 2^16: the truncated key of this one.
+    p.radios[0]->transmit(std::vector<std::uint8_t>(65594, 0xA5), nullptr);
+    p.sim.run();
+    for (int i = 0; i < 40; ++i) {
+      p.radios[0]->transmit(std::vector<std::uint8_t>(58, 0x3C), nullptr);
+      p.sim.run();
+    }
+    return std::pair{p.deliveries, p.digest.h};
+  };
+  const auto fast = run(true);
+  EXPECT_GT(fast.first, 5u);
+  EXPECT_EQ(fast, run(false));
+}
+
 TEST(ChannelFastPathTest, LinkOutageRespectedByCulledPath) {
   // A blackout on a culled-path candidate link must drop frames exactly
   // like the slow path does (culling decides who is *considered*, faults
@@ -311,17 +343,27 @@ TEST(ChannelFastPathTest, DetachedReceiverMidFlightIsScrubbed) {
 
 TEST(ChannelFastPathTest, DetachedButAliveRadioStillTransmits) {
   // runner::Network uses detach() to make a node deaf without destroying
-  // it; its outgoing frames are still on the air (slow-scan fallback for
-  // senders without a cache row).
-  Pump p{true, 2};
-  p.run_rounds(1);
-  const auto before = p.deliveries;
-  p.channel.detach(*p.radios[1]);  // radio 1 goes deaf...
-  p.radios[1]->transmit(std::vector<std::uint8_t>(40, 7), nullptr);
-  p.sim.run();
-  EXPECT_GT(p.deliveries, before);  // ...but not mute: radio 0 heard it
-  // And the deaf radio's own CCA still works via the fallback.
-  (void)p.radios[1]->channel_clear();
+  // it; its outgoing frames are still on the air. Having no slot, the
+  // radio has no row, so its frames take every term from the
+  // propagation batch while the receptions they interfere with are
+  // backed by rows — the one place terms from a sender without a row sum
+  // into row-backed receptions. The stream must match the run with no
+  // rows at all.
+  auto run = [](bool fast) {
+    Pump p{fast, 8};
+    // Each frame overlaps only its neighbours in the stagger, so a term
+    // from radio 3 decides the receptions it overlaps.
+    p.stagger_us = 1000;
+    p.run_rounds(2);
+    const auto before = p.deliveries;
+    p.channel.detach(*p.radios[3]);  // radio 3 goes deaf...
+    p.run_rounds(4);                 // ...and keeps sending (and sensing)
+    EXPECT_GT(p.deliveries, before);  // ...but not mute: others heard it
+    return std::pair{p.deliveries, p.digest.h};
+  };
+  const auto fast = run(true);
+  const auto slow = run(false);
+  EXPECT_EQ(fast, slow);
 }
 
 TEST(ChannelFastPathTest, ActiveTxPoolSurvivesChurn) {

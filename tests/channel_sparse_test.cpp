@@ -360,8 +360,7 @@ TEST(ChannelSparseTest, ReattachAtDifferentCellStaysBitIdentical) {
   // Two clusters ~3 km apart sit in NON-adjacent grid cells (the
   // receive-floor radius, and therefore the cell size, is ~1.1 km at
   // default config). A cluster-A radio dies and a REPLACEMENT node
-  // (fresh NodeId — a rebooting node must keep its position, see
-  // DESIGN.md §8.8) joins at a cluster-B position, reusing the slot:
+  // (fresh NodeId) joins at a cluster-B position, reusing the slot:
   // senders near the old position must not keep their stored links to
   // that slot (detach scrubs them), or the sparse path keeps delivering
   // to the newcomer with cluster-A gains while the new-neighborhood
@@ -402,6 +401,37 @@ TEST(ChannelSparseTest, ReattachAtDifferentCellStaysBitIdentical) {
           << " paid a full rebuild for a cross-cell reattach";
       EXPECT_EQ(p.deliveries, slow_deliveries);
       EXPECT_EQ(p.digest.h, slow_digest);
+    }
+  }
+}
+
+TEST(ChannelSparseTest, ReattachSameIdAtNewPositionMatchesAcrossModes) {
+  // Node 2 dies and comes back 400 m away under its old NodeId. The loss
+  // of every pair it is in must follow the new position on every path:
+  // an id-keyed propagation memo on the path without rows once kept
+  // serving the old geometry, so that path alone went on hearing node 2
+  // as if it had never moved.
+  std::uint64_t slow_digest = 0;
+  std::uint64_t slow_deliveries = 0;
+  for (const Mode mode : kAllModes) {
+    Pump p{mode, 8};
+    p.stagger_us = 2000;
+    p.run_rounds(2);
+    p.radios[1].reset();  // node 2 dies at (30, 0)
+    p.run_rounds(1);
+    p.add_radio_at(1, Position{30.0, 400.0});  // ...and returns as node 2
+    p.run_rounds(3);
+    if (mode == Mode::kSlow) {
+      slow_digest = p.digest.h;
+      slow_deliveries = p.deliveries;
+      EXPECT_GT(p.deliveries, 0u);
+    } else {
+      // Same grid cell (the radius is ~1.1 km): repaired in place.
+      EXPECT_EQ(p.channel.cache_rebuilds(), 1u)
+          << "mode " << static_cast<int>(mode);
+      EXPECT_EQ(p.deliveries, slow_deliveries)
+          << "mode " << static_cast<int>(mode);
+      EXPECT_EQ(p.digest.h, slow_digest) << "mode " << static_cast<int>(mode);
     }
   }
 }

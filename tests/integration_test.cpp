@@ -199,7 +199,10 @@ TEST(IntegrationTest, NetworkSurvivesRelayDeath) {
   const NodeId used = net.node(3).routing().parent();
   ASSERT_TRUE(used == NodeId{1} || used == NodeId{2});
   const std::size_t victim = used == NodeId{1} ? 1 : 2;
-  net.channel().detach(net.radio(victim));  // node goes deaf and mute
+  // The relay goes deaf: from now on it receives nothing. It is not
+  // mute — its own frames (beacons, retries of what it had queued) still
+  // go on the air — and the leaf must route around it anyway.
+  net.channel().detach(net.radio(victim));
 
   sim.run_for(sim::Duration::from_minutes(9.0));
   const auto snap = net.tree_snapshot();

@@ -163,35 +163,14 @@ TEST(PropagationTest, DeterministicPerPair) {
 }
 
 TEST(PropagationTest, CachedValueStable) {
+  // Nothing is memoized any more: a repeated call recomputes the pair
+  // and must land on the same bits.
   PropagationModel m{PropagationConfig{}, sim::Rng{7}};
   const Position a{0, 0};
   const Position b{10, 0};
   const double first = m.loss(NodeId{1}, a, NodeId{2}, b).value();
   const double second = m.loss(NodeId{1}, a, NodeId{2}, b).value();
   EXPECT_EQ(bits(first), bits(second));
-}
-
-TEST(PropagationTest, LossUncachedMatchesMemoizedLossBitwise) {
-  // loss_uncached() no longer reads the memo; that is only sound if the
-  // memo holds exactly what a fresh computation returns, before and
-  // after the pair is memoized.
-  // The memo is keyed by ids alone (a node keeps its position), so every
-  // pair here is a distinct id pair.
-  PropagationModel m{PropagationConfig{}, sim::Rng{7}};
-  sim::Rng rng{8};
-  for (int i = 0; i < 2000; ++i) {
-    const NodeId a{static_cast<std::uint16_t>(1 + 2 * i)};
-    const NodeId b{static_cast<std::uint16_t>(0xFFFF - 3 * i)};
-    const Position pa{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-    const Position pb{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-    const double fresh = m.loss_uncached(a, pa, b, pb).value();
-    const double memoized = m.loss(a, pa, b, pb).value();  // computes
-    const double from_memo = m.loss(a, pa, b, pb).value();  // reads
-    const double after = m.loss_uncached(a, pa, b, pb).value();
-    ASSERT_EQ(bits(fresh), bits(memoized)) << "pair " << i;
-    ASSERT_EQ(bits(fresh), bits(from_memo)) << "pair " << i;
-    ASSERT_EQ(bits(fresh), bits(after)) << "pair " << i;
-  }
 }
 
 // The per-pair composition PropagationModel's fused kernel replaced,
@@ -240,12 +219,10 @@ PairBatch random_batch(sim::Rng& rng, std::size_t n) {
   return b;
 }
 
-// Checks every pair of `b`, in both orderings, through loss_uncached(),
+// Checks every pair of `b`, in both orderings, through loss(),
 // rx_dbm_batch() and gain_mw_batch() against the oracle, bit for bit.
-// (Ids repeat across batches with new positions, so the id-keyed memo of
-// loss() is not consulted here; LossUncachedMatchesMemoizedLossBitwise
-// ties it to loss_uncached().) Returns the number of ordered pairs
-// checked.
+// Ids repeat across batches with new positions, which loss() must follow
+// (it memoizes nothing). Returns the number of ordered pairs checked.
 std::size_t expect_matches_oracle(PropagationModel& m, const sim::Rng& rng,
                                   const PropagationConfig& cfg,
                                   const PairBatch& b) {
@@ -261,9 +238,9 @@ std::size_t expect_matches_oracle(PropagationModel& m, const sim::Rng& rng,
     const double rev =
         fork_normal_reference(rng, cfg, to, to_pos, b.from, b.from_pos);
     const PowerDbm rx = PowerDbm{b.tx_dbm} - Decibels{fwd};
-    EXPECT_EQ(bits(m.loss_uncached(b.from, b.from_pos, to, to_pos).value()),
+    EXPECT_EQ(bits(m.loss(b.from, b.from_pos, to, to_pos).value()),
               bits(fwd));
-    EXPECT_EQ(bits(m.loss_uncached(to, to_pos, b.from, b.from_pos).value()),
+    EXPECT_EQ(bits(m.loss(to, to_pos, b.from, b.from_pos).value()),
               bits(rev));
     EXPECT_EQ(bits(dbm[i]), bits(rx.value())) << "batch element " << i;
     EXPECT_EQ(bits(mw[i]), bits(rx.milliwatts())) << "batch element " << i;
