@@ -59,4 +59,19 @@ inline constexpr std::array<Crc16Table, 2> kCrc16Tables = make_crc16_tables();
   return crc;
 }
 
+/// True iff `frame` ends in a big-endian CRC-16 of everything before it
+/// (the 802.15.4 FCS layout). Frames too short to hold the two FCS bytes
+/// fail. The channel checks each transmitted frame once with this, the
+/// way the CC2420's AUTOCRC does in hardware; MacFrameView::decode checks
+/// bytes it is handed directly.
+[[nodiscard]] constexpr bool crc16_trailer_ok(
+    std::span<const std::uint8_t> frame) {
+  if (frame.size() < 2) return false;
+  const auto body = frame.first(frame.size() - 2);
+  const auto fcs = static_cast<std::uint16_t>(
+      static_cast<std::uint16_t>(frame[frame.size() - 2]) << 8 |
+      frame[frame.size() - 1]);
+  return crc16(body) == fcs;
+}
+
 }  // namespace fourbit

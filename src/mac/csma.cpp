@@ -126,14 +126,16 @@ void CsmaMac::complete_current(TxResult result) {
 void CsmaMac::on_radio_rx(std::span<const std::uint8_t> bytes,
                           const phy::RxInfo& info) {
   // Frames the radio flagged as damaged, or whose FCS fails, die here.
-  if (!info.fcs_ok) {
+  // The channel checked the FCS once for every clean receiver of this
+  // transmission (crc_ok), as the radio's AUTOCRC would.
+  if (!info.fcs_ok || !info.crc_ok) {
     ++fcs_failures_;
     return;
   }
   // Zero-copy parse: header fields by value, payload left in place in
   // the channel's buffer. Handlers receive a span valid only for this
   // call; anything they keep, they copy.
-  const auto frame = MacFrameView::decode(bytes);
+  const auto frame = MacFrameView::parse(bytes);
   if (!frame) {
     ++fcs_failures_;
     return;

@@ -28,13 +28,14 @@ void MacFrame::encode_into(std::vector<std::uint8_t>& out) const {
 
 std::optional<MacFrameView> MacFrameView::decode(
     std::span<const std::uint8_t> bytes) {
+  if (!crc16_trailer_ok(bytes)) return std::nullopt;
+  return parse(bytes);
+}
+
+std::optional<MacFrameView> MacFrameView::parse(
+    std::span<const std::uint8_t> bytes) {
   if (bytes.size() < MacFrame::kFcsBytes + 2) return std::nullopt;
   const auto body = bytes.first(bytes.size() - MacFrame::kFcsBytes);
-  const std::uint16_t fcs =
-      static_cast<std::uint16_t>(bytes[bytes.size() - 2]) << 8 |
-      bytes[bytes.size() - 1];
-  if (crc16(body) != fcs) return std::nullopt;
-
   ByteReader r{body};
   MacFrameView f;
   const std::uint8_t type = r.u8();

@@ -49,11 +49,11 @@ struct MacFrame {
 
 /// Zero-copy decode of a received frame: header fields by value, payload
 /// as a span into the caller's buffer. This is the receive-path type —
-/// the channel delivers a span of the in-flight frame, the MAC validates
-/// the FCS and parses headers in place, and upper layers see the payload
-/// span without a single copy. The span is only valid for the duration
-/// of the delivery call; a consumer that keeps the bytes (e.g. the
-/// forwarding queue) must copy them (see DESIGN.md, "Channel fast
+/// the channel delivers a span of the in-flight frame with its FCS
+/// verdict, the MAC parses headers in place, and upper layers see the
+/// payload span without a single copy. The span is only valid for the
+/// duration of the delivery call; a consumer that keeps the bytes (e.g.
+/// the forwarding queue) must copy them (see DESIGN.md, "Channel fast
 /// path").
 struct MacFrameView {
   FrameType type = FrameType::kData;
@@ -67,6 +67,12 @@ struct MacFrameView {
   /// Validates the FCS and parses in place. Returns nullopt for
   /// truncated, corrupt or unknown frames.
   [[nodiscard]] static std::optional<MacFrameView> decode(
+      std::span<const std::uint8_t> bytes);
+
+  /// decode() without the FCS check, for bytes whose FCS is already
+  /// known good (the channel's RxInfo::crc_ok). Returns nullopt for
+  /// truncated or unknown frames.
+  [[nodiscard]] static std::optional<MacFrameView> parse(
       std::span<const std::uint8_t> bytes);
 
   /// Deep copy, for consumers that outlive the delivery call.

@@ -125,10 +125,33 @@ RoutingEngine::NeighborRoute* RoutingEngine::find_route(NodeId n) {
   return const_cast<NeighborRoute*>(std::as_const(*this).route(n));
 }
 
-std::optional<double> RoutingEngine::total_cost(
-    const link::LinkEstimate& link) const {
+void RoutingEngine::read_link_table() {
+  estimator_.link_estimates(estimates_);
+  route_hint_.resize(estimates_.size());
+}
+
+const RoutingEngine::NeighborRoute* RoutingEngine::entry_route(
+    std::size_t k) {
+  const NodeId n = estimates_[k].node;
+  std::uint32_t& hint = route_hint_[k];
+  // routes_ holds at most one entry per node, so a hit here is the entry
+  // the search below would find.
+  if (hint < routes_.size() && routes_[hint].node == n) {
+    return &routes_[hint].route;
+  }
+  for (std::size_t j = 0; j < routes_.size(); ++j) {
+    if (routes_[j].node == n) {
+      hint = static_cast<std::uint32_t>(j);
+      return &routes_[j].route;
+    }
+  }
+  return nullptr;
+}
+
+std::optional<double> RoutingEngine::total_cost(std::size_t k) {
+  const link::LinkEstimate& link = estimates_[k];
   if (!link.has_etx) return std::nullopt;
-  const NeighborRoute* r = route(link.node);
+  const NeighborRoute* r = entry_route(k);
   if (r == nullptr) return std::nullopt;
   // A neighbor routing through us would form a loop; a neighbor without a
   // route is useless; a stale advertisement cannot be trusted (stale
@@ -165,8 +188,9 @@ void RoutingEngine::on_beacon(NodeId from,
 
   // Drop route state for nodes the estimator no longer tracks; the route
   // table must not grow past the link table (the layer-agreement failure
-  // the paper cites from the Potatoes deployment).
-  estimator_.link_estimates(estimates_);
+  // the paper cites from the Potatoes deployment). Nothing below changes
+  // the estimator, so parent selection reuses this read.
+  read_link_table();
   if (routes_.size() > estimates_.size() + 4) {
     std::erase_if(routes_, [&](const RouteEntry& r) {
       return std::none_of(
@@ -175,7 +199,7 @@ void RoutingEngine::on_beacon(NodeId from,
     });
   }
 
-  update_route();
+  update_route(/*estimates_fresh=*/true);
 }
 
 void RoutingEngine::on_snooped_cost(NodeId from, double path_etx) {
@@ -191,8 +215,8 @@ void RoutingEngine::on_snooped_cost(NodeId from, double path_etx) {
   update_route();
 }
 
-void RoutingEngine::update_route() {
-  recompute_route();
+void RoutingEngine::update_route(bool estimates_fresh) {
+  recompute_route(estimates_fresh);
   note_route_state();
 }
 
@@ -208,22 +232,23 @@ void RoutingEngine::note_route_state() {
   }
 }
 
-void RoutingEngine::recompute_route() {
+void RoutingEngine::recompute_route(bool estimates_fresh) {
   if (is_root_ || !started_) return;
 
   // One pass over the link table, in table order: the first strictly
   // cheapest candidate wins, and the current parent's cost comes from the
   // same pass (nullopt when the parent has left the table).
-  estimator_.link_estimates(estimates_);
+  if (!estimates_fresh) read_link_table();
   NodeId best = kInvalidNodeId;
   double best_cost = config_.max_path_etx;
   std::optional<double> current_cost;
-  for (const link::LinkEstimate& l : estimates_) {
-    const auto cost = total_cost(l);
-    if (l.node == parent_) current_cost = cost;
+  for (std::size_t k = 0; k < estimates_.size(); ++k) {
+    const NodeId node = estimates_[k].node;
+    const auto cost = total_cost(k);
+    if (node == parent_) current_cost = cost;
     if (cost.has_value() && *cost < best_cost) {
       best_cost = *cost;
-      best = l.node;
+      best = node;
     }
   }
 
@@ -348,12 +373,12 @@ bool RoutingEngine::compare_bit(NodeId /*candidate*/,
   // churn would keep every entry immature forever (this matters for
   // probe-based estimators, whose entries need a neighbor's reverse
   // report before they become usable).
-  estimator_.link_estimates(estimates_);
+  read_link_table();
   const std::size_t total = estimates_.size();
   std::size_t useless = 0;
   double worst = -1.0;
-  for (const link::LinkEstimate& l : estimates_) {
-    const auto cost = total_cost(l);
+  for (std::size_t k = 0; k < total; ++k) {
+    const auto cost = total_cost(k);
     if (!cost.has_value()) {
       ++useless;
     } else {

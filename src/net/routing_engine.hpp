@@ -8,6 +8,7 @@
 // answers the estimator's COMPARE-bit queries from its route table.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -93,8 +94,9 @@ class RoutingEngine final : public link::CompareProvider {
   /// One entry per neighbor heard from, in no particular order. Snooped
   /// frames may add entries between beacons; the beacon handler trims
   /// the table back to nodes the estimator tracks once it exceeds the
-  /// link table size + 4. It stays small, so it is a flat vector
-  /// searched linearly.
+  /// link table size + 4. It stays small, so it is a flat vector; parent
+  /// selection finds each link-table entry's route by its last known
+  /// position and searches only when that misses.
   [[nodiscard]] const std::vector<RouteEntry>& route_table() const {
     return routes_;
   }
@@ -117,8 +119,11 @@ class RoutingEngine final : public link::CompareProvider {
       NodeId candidate, std::span<const std::uint8_t> payload) override;
 
  private:
-  void update_route();
-  void recompute_route();
+  /// `estimates_fresh`: estimates_ already holds this input's read of
+  /// the link table (the beacon handler reads it for its trim).
+  void update_route(bool estimates_fresh = false);
+  void recompute_route(bool estimates_fresh);
+  void read_link_table();
   void note_route_state();
   void evict_parent();
   void send_beacon();
@@ -126,10 +131,12 @@ class RoutingEngine final : public link::CompareProvider {
   void refresh_beacon_ceiling();
 
   [[nodiscard]] NeighborRoute* find_route(NodeId n);
-  /// Path cost through `link.node`, or nullopt if that neighbor cannot
-  /// be a parent (see the definition for the rules).
-  [[nodiscard]] std::optional<double> total_cost(
-      const link::LinkEstimate& link) const;
+  /// Route of link-table entry `k` (estimates_[k]), or null if none is
+  /// held: tries route_hint_[k] first, then searches and updates it.
+  [[nodiscard]] const NeighborRoute* entry_route(std::size_t k);
+  /// Path cost through link-table entry `k`, or nullopt if that neighbor
+  /// cannot be a parent (see the definition for the rules).
+  [[nodiscard]] std::optional<double> total_cost(std::size_t k);
 
   sim::Simulator& sim_;
   NodeId self_;
@@ -144,6 +151,10 @@ class RoutingEngine final : public link::CompareProvider {
   // Scratch for LinkEstimator::link_estimates: one bulk read of the link
   // table per routing input, reusing this buffer's capacity.
   std::vector<link::LinkEstimate> estimates_;
+  // route_hint_[k]: where in routes_ the route of estimates_[k] was last
+  // found. Only trusted after checking the node there, so a hint left
+  // stale by an erase or a table reorder costs one search, nothing more.
+  std::vector<std::uint32_t> route_hint_;
   NodeId parent_ = kInvalidNodeId;
   double my_cost_;  // cached advertised cost
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/crc16.hpp"
 #include "phy/lqi.hpp"
 
 namespace fourbit::phy {
@@ -657,8 +659,8 @@ void Channel::deliver_corrupt(Radio& r, const ActiveTx& tx,
   if (!phy_.deliver_corrupt_frames) return;
   if (sinr_db < phy_.corrupt_delivery_min_sinr_db) return;
   // The radio locked onto the preamble but the payload is damaged: flip
-  // a few bytes and deliver with fcs_ok = false. The MAC's FCS check
-  // drops it; only the "heard garbage" fact is observable. This is the
+  // a few bytes and deliver with fcs_ok = false (crc_ok stays false). The
+  // MAC drops it; only the "heard garbage" fact is observable. This is the
   // one path that needs a mutable copy of the frame bytes (it must
   // mangle them); the copy goes into a reused member buffer, safe
   // because deliveries never nest (finish events are never synchronous).
@@ -770,6 +772,10 @@ void Channel::finish_transmission(ActiveTx* tx) {
     }
   }
 
+  // Every clean receiver gets the same bytes, so the FCS is checked once
+  // per transmission, at the first clean delivery (the CC2420's AUTOCRC
+  // does this in hardware). The check draws no RNG.
+  std::optional<bool> crc_ok;
   for (std::size_t i = 0; i < m; ++i) {
     const PendingRx& rx = tx->receivers[i];
     Radio& r = *rx.receiver;
@@ -812,6 +818,8 @@ void Channel::finish_transmission(ActiveTx* tx) {
     info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
     info.white = white_bit(info);
     info.fcs_ok = true;
+    if (!crc_ok.has_value()) crc_ok = crc16_trailer_ok(tx->frame);
+    info.crc_ok = *crc_ok;
     r.deliver(tx->frame, info);
   }
 

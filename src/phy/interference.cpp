@@ -6,23 +6,23 @@ GilbertElliottInterference::GilbertElliottInterference(Config config,
                                                        sim::Rng rng)
     : config_(config), rng_(rng) {}
 
-GilbertElliottInterference::NodeState& GilbertElliottInterference::state_for(
+GilbertElliottInterference::NodeState& GilbertElliottInterference::new_state(
     NodeId rx) {
-  auto it = nodes_.find(rx);
-  if (it == nodes_.end()) {
-    NodeState st{.affected = false,
-                 .bad = false,
-                 .state_until = sim::Time{},
-                 .rng = rng_.fork(rx.value())};
-    st.affected = rx != config_.exempt &&
-                  st.rng.bernoulli(config_.affected_fraction);
-    // Start in the good state for one full good dwell.
-    st.state_until = sim::Time::from_us(0) +
-                     sim::Duration::from_seconds(
-                         st.rng.exponential(config_.mean_good.seconds()));
-    it = nodes_.emplace(rx, std::move(st)).first;
-  }
-  return it->second;
+  const std::size_t id = rx.value();
+  if (id >= index_.size()) index_.resize(id + 1, 0);
+  NodeState st{.affected = false,
+               .bad = false,
+               .state_until = sim::Time{},
+               .rng = rng_.fork(rx.value())};
+  st.affected =
+      rx != config_.exempt && st.rng.bernoulli(config_.affected_fraction);
+  // Start in the good state for one full good dwell.
+  st.state_until = sim::Time::from_us(0) +
+                   sim::Duration::from_seconds(
+                       st.rng.exponential(config_.mean_good.seconds()));
+  states_.push_back(std::move(st));
+  index_[id] = static_cast<std::uint32_t>(states_.size());
+  return states_.back();
 }
 
 void GilbertElliottInterference::advance(NodeState& st, sim::Time t) {

@@ -7,8 +7,8 @@
 // et al. and the LQI blindness of the paper's Figure 3.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -18,8 +18,11 @@
 namespace fourbit::phy {
 
 /// Query interface: probability that burst interference at receiver `rx`
-/// destroys a packet occupying [start, end]. Queries at a given node are
-/// made in nondecreasing time order (simulation time is monotone).
+/// destroys a packet occupying [start, end]. Queries are NOT time-ordered
+/// per node: the channel asks when each frame finishes, in finish order.
+/// A long frame that started before a short one at the same receiver and
+/// ends after it is asked about second, yet its midpoint can be the
+/// earlier one. Stateful models must accept that.
 class InterferenceModel {
  public:
   virtual ~InterferenceModel() = default;
@@ -76,12 +79,29 @@ class GilbertElliottInterference final : public InterferenceModel {
     sim::Rng rng;
   };
 
-  NodeState& state_for(NodeId rx);
+  /// Every reception asks, so the lookup is inline; a node's first query
+  /// takes the out-of-line new_state().
+  NodeState& state_for(NodeId rx) {
+    const std::size_t id = rx.value();
+    if (id < index_.size() && index_[id] != 0) [[likely]] {
+      return states_[index_[id] - 1];
+    }
+    return new_state(rx);
+  }
+  NodeState& new_state(NodeId rx);
+  /// Steps the chain forward to `t`. It never goes back: a query earlier
+  /// than the node's last one (see InterferenceModel) sees the later
+  /// state.
   void advance(NodeState& st, sim::Time t);
 
   Config config_;
   sim::Rng rng_;
-  std::unordered_map<NodeId, NodeState> nodes_;
+  // index_[id] is 1 + the position of node `id`'s state in states_, or 0
+  // before its first query; it grows to the largest id queried. Each
+  // state is seeded by rng_.fork(id) when created, so the order in which
+  // nodes are first queried does not matter.
+  std::vector<std::uint32_t> index_;
+  std::vector<NodeState> states_;
 };
 
 /// Deterministic interference windows (used to script the Figure 3

@@ -27,9 +27,16 @@ struct RxInfo {
   int lqi = 0;
   bool white = false;
 
-  /// False for frames the radio heard but could not decode cleanly; the
-  /// MAC verifies the frame check sequence and drops them.
+  /// False for frames the radio heard but could not decode cleanly (the
+  /// channel's corrupt deliveries); the MAC drops them.
   bool fcs_ok = true;
+
+  /// Whether the delivered bytes end in a valid CRC-16 of the rest
+  /// (crc16_trailer_ok). The channel computes it once per transmission,
+  /// at the first clean delivery, and hands the same verdict to every
+  /// clean receiver; corrupt deliveries leave it false. The MAC drops
+  /// frames without it, so it only means something for MAC-framed bytes.
+  bool crc_ok = false;
 };
 
 /// Half-duplex radio. Owns no protocol state; the MAC drives it.

@@ -352,5 +352,52 @@ TEST_F(MacFixture, LossyLinkYieldsMixedAckResults) {
   EXPECT_GT(unacked, 10);
 }
 
+TEST_F(MacFixture, ChannelFcsVerdictGatesDelivery) {
+  // Raw frames from a bare radio (no MAC of its own) through the real
+  // channel: the MAC must act on the channel's one-per-transmission FCS
+  // verdict, so a MAC-shaped frame with a wrong trailer is counted and
+  // dropped at every receiver, and a valid one reaches all of them.
+  phy::Radio sender{*channel_, NodeId{1}, Position{0.0, 0.0},
+                    phy::HardwareProfile{}, PowerDbm{0.0}};
+  std::vector<Node> nodes;
+  nodes.push_back(make_node(2, 4.0));
+  nodes.push_back(make_node(3, -4.0));
+  nodes.push_back(make_node(4, 8.0));
+  int received = 0;
+  int snooped = 0;
+  for (Node& n : nodes) {
+    n.mac->set_rx_handler([&](NodeId, std::uint8_t,
+                              std::span<const std::uint8_t>,
+                              const phy::RxInfo&) { ++received; });
+    n.mac->set_snoop_handler([&](NodeId, std::uint8_t,
+                                 std::span<const std::uint8_t>,
+                                 const phy::RxInfo&) { ++snooped; });
+  }
+
+  // Unicast to node 2 (its rx handler would fire), overheard by 3 and 4
+  // (their snoop handlers would fire), with the trailer off by one bit.
+  MacFrame data;
+  data.type = FrameType::kData;
+  data.dsn = 7;
+  data.src = NodeId{1};
+  data.dst = NodeId{2};
+  data.payload = {1, 2, 3, 4, 5, 6};
+  auto bad = data.encode();
+  bad.back() ^= 0x01;
+  ASSERT_TRUE(MacFrameView::parse(bad).has_value());
+  sender.transmit(bad, nullptr);
+  sim_.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(snooped, 0);
+  for (const Node& n : nodes) EXPECT_EQ(n.mac->fcs_failures(), 1u);
+
+  data.dst = kBroadcastId;
+  sender.transmit(data.encode(), nullptr);
+  sim_.run();
+  EXPECT_EQ(received, 3);
+  EXPECT_EQ(snooped, 0);
+  for (const Node& n : nodes) EXPECT_EQ(n.mac->fcs_failures(), 1u);
+}
+
 }  // namespace
 }  // namespace fourbit::mac

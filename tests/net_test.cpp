@@ -7,6 +7,7 @@
 // without a radio underneath.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/four_bit_estimator.hpp"
@@ -523,6 +525,194 @@ TEST(RoutingAllocationTest, RandomTableEvictionAllocatesNothing) {
   EXPECT_EQ(allocations, 0u);
   ASSERT_TRUE(victim.has_value());
   EXPECT_NE(*victim, NodeId{3});
+}
+
+/// Test-side oracle for parent selection and the compare bit: the same
+/// rules as RoutingEngine, but every route found by a linear search of
+/// the public route table, the way the engine looked routes up before it
+/// kept per-entry position hints.
+class RouteOracle {
+ public:
+  RouteOracle(const sim::Simulator& sim, const RoutingEngine& routing,
+              const link::LinkEstimator& est, NodeId self,
+              CollectionConfig config)
+      : sim_(sim), routing_(routing), est_(est), self_(self),
+        config_(config) {}
+
+  /// What one more parent evaluation would leave as (parent, path_etx).
+  /// Parent evaluation is idempotent with unchanged inputs, so right
+  /// after a routing input this must equal the engine's state.
+  [[nodiscard]] std::pair<NodeId, double> settled() const {
+    std::vector<link::LinkEstimate> links;
+    est_.link_estimates(links);
+    const NodeId parent = routing_.parent();
+    NodeId best = kInvalidNodeId;
+    double best_cost = config_.max_path_etx;
+    std::optional<double> current;
+    for (const link::LinkEstimate& l : links) {
+      const auto c = cost(l);
+      if (l.node == parent) current = c;
+      if (c.has_value() && *c < best_cost) {
+        best_cost = *c;
+        best = l.node;
+      }
+    }
+    if (best == kInvalidNodeId) {
+      if (!current.has_value() && parent != kInvalidNodeId) {
+        return {parent, config_.max_path_etx};
+      }
+      return {parent, routing_.path_etx()};
+    }
+    if (parent == kInvalidNodeId || !current.has_value() ||
+        (best != parent &&
+         best_cost + config_.parent_switch_threshold < *current)) {
+      return {best, best_cost};
+    }
+    return {parent, *current};
+  }
+
+  [[nodiscard]] bool compare_bit(std::span<const std::uint8_t> payload) const {
+    const auto beacon = RoutingBeacon::decode(payload);
+    if (!beacon.has_value() || beacon->parent == self_ ||
+        beacon->path_etx >= config_.max_path_etx) {
+      return false;
+    }
+    std::vector<link::LinkEstimate> links;
+    est_.link_estimates(links);
+    std::size_t useless = 0;
+    double worst = -1.0;
+    for (const link::LinkEstimate& l : links) {
+      const auto c = cost(l);
+      if (c.has_value()) {
+        worst = std::max(worst, *c);
+      } else {
+        ++useless;
+      }
+    }
+    if (links.empty() || useless * 2 > links.size()) return true;
+    return worst >= 0.0 && beacon->path_etx + 1.0 < worst;
+  }
+
+ private:
+  [[nodiscard]] std::optional<double> cost(const link::LinkEstimate& l) const {
+    if (!l.has_etx) return std::nullopt;
+    const RoutingEngine::NeighborRoute* r = nullptr;
+    for (const RoutingEngine::RouteEntry& e : routing_.route_table()) {
+      if (e.node == l.node) {
+        r = &e.route;
+        break;
+      }
+    }
+    if (r == nullptr || r->parent == self_ ||
+        r->path_etx >= config_.max_path_etx) {
+      return std::nullopt;
+    }
+    if (l.node != routing_.parent() &&
+        sim_.now() - r->last_heard > config_.route_expiry) {
+      return std::nullopt;
+    }
+    return r->path_etx + l.etx;
+  }
+
+  const sim::Simulator& sim_;
+  const RoutingEngine& routing_;
+  const link::LinkEstimator& est_;
+  NodeId self_;
+  CollectionConfig config_;
+};
+
+TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
+  // A seeded random mix of every routing input over a real 4B estimator
+  // with 10 entries and 30 peers: beacons (white-bit admissions evict and
+  // reorder the table), snooped costs (route-only neighbors), acks, the
+  // beacon trim and parent evictions (both erase from the route table
+  // under live hints), estimator removals and crashes. After each step
+  // the engine must agree with the linear-lookup oracle.
+  sim::Simulator sim;
+  core::FourBitConfig fb;
+  fb.table_capacity = 10;
+  core::FourBitEstimator est{fb, sim::Rng{31}};
+  const NodeId self{10};
+  const CollectionConfig config;
+  RoutingEngine routing{sim, self, false, est, config, sim::Rng{32}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  const RouteOracle oracle{sim, routing, est, self, config};
+
+  sim::Rng rng{33};
+  std::vector<std::uint8_t> seq(31, 0);
+  const auto peer = [&] {
+    return NodeId{static_cast<std::uint16_t>(1 + rng.uniform_int(30))};
+  };
+  const auto cost = [&] { return rng.uniform(0.0, 8.0); };
+  std::size_t trims = 0;
+  std::size_t crashes = 0;
+  for (int step = 0; step < 4000; ++step) {
+    sim.run_for(sim::Duration::from_seconds(rng.uniform(0.0, 12.0)));
+    // Whether this step ends in a parent evaluation (an ack alone does
+    // not trigger one, so the engine may lag the estimator until the
+    // next input).
+    bool evaluated = true;
+    const std::uint64_t op = rng.uniform_int(100);
+    if (op < 45) {
+      const NodeId from = peer();
+      seq[from.value()] += rng.bernoulli(0.8) ? 1 : 2;  // some lost
+      const NodeId advertised_parent = rng.bernoulli(0.05) ? self : NodeId{99};
+      const double advertised =
+          rng.bernoulli(0.05) ? config.max_path_etx : cost();
+      std::vector<std::uint8_t> wire{seq[from.value()]};
+      const auto routing_payload = beacon_from(advertised_parent, advertised);
+      wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
+      const auto payload = est.unwrap_beacon(
+          from, wire, link::PacketPhyInfo{.white = rng.bernoulli(0.7)});
+      if (!payload.has_value()) continue;
+      const std::size_t before = routing.route_table().size();
+      const bool known = routing.route(from) != nullptr;
+      routing.on_beacon(from, *payload);
+      if (routing.route_table().size() < before + (known ? 0 : 1)) ++trims;
+    } else if (op < 75) {
+      routing.on_snooped_cost(peer(), cost());
+    } else if (op < 88) {
+      const NodeId to = peer();
+      const bool acked = rng.bernoulli(0.7);
+      est.on_unicast_result(to, acked);
+      if (acked) {
+        routing.on_delivery_success(to);
+        evaluated = false;
+      } else {
+        routing.on_delivery_failure(to);
+      }
+    } else if (op < 94) {
+      if (routing.parent() == kInvalidNodeId) continue;
+      // A dead parent: the failure streak evicts it and erases its route.
+      for (int i = 0; i < config.parent_evict_failures; ++i) {
+        est.on_unicast_result(routing.parent(), false);
+        routing.on_delivery_failure(routing.parent());
+      }
+    } else if (op < 99) {
+      (void)est.remove(peer());  // refused while pinned
+      routing.on_loop_detected();  // a routing input re-evaluates
+    } else {
+      ++crashes;
+      routing.crash();
+      est.reset();
+      routing.start();
+    }
+    if (evaluated) {
+      const auto [parent, path_etx] = oracle.settled();
+      ASSERT_EQ(routing.parent(), parent) << "step " << step;
+      ASSERT_EQ(routing.path_etx(), path_etx) << "step " << step;
+    }
+    const auto candidate = beacon_from(NodeId{99}, cost());
+    ASSERT_EQ(routing.compare_bit(NodeId{50}, candidate),
+              oracle.compare_bit(candidate))
+        << "step " << step;
+  }
+  // The sequence reached the cases the hints must survive.
+  EXPECT_GT(trims, 0u);
+  EXPECT_GT(routing.parent_evictions(), 0u);
+  EXPECT_GT(routing.parent_changes(), 10u);
+  EXPECT_GT(crashes, 0u);
 }
 
 // ---- ForwardingEngine -------------------------------------------------------------

@@ -414,6 +414,42 @@ TEST(InterferenceTest, ExemptNodeNeverBad) {
   }
 }
 
+TEST(InterferenceTest, GilbertElliottStateIndependentOfQueryOrder) {
+  // Each node's chain is seeded from its id alone, so two models with the
+  // same seed see the same bursts whichever node they meet first. The
+  // ids span the full NodeId range the state index must cover.
+  GilbertElliottInterference::Config cfg;
+  cfg.mean_good = sim::Duration::from_seconds(90.0);
+  cfg.mean_bad = sim::Duration::from_seconds(30.0);
+  cfg.affected_fraction = 1.0;
+  cfg.exempt = NodeId{2};
+  GilbertElliottInterference forward{cfg, sim::Rng{24}};
+  GilbertElliottInterference backward{cfg, sim::Rng{24}};
+  const std::vector<NodeId> ids{NodeId{1}, NodeId{2}, NodeId{93},
+                                NodeId{65534}};
+  const auto step = [&](sim::Time t, std::vector<bool>& fwd,
+                        std::vector<bool>& bwd) {
+    for (const NodeId id : ids) fwd.push_back(forward.in_bad_state(id, t));
+    for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+      bwd.push_back(backward.in_bad_state(*it, t));
+    }
+    std::reverse(bwd.end() - static_cast<std::ptrdiff_t>(ids.size()),
+                 bwd.end());
+  };
+  std::vector<bool> fwd;
+  std::vector<bool> bwd;
+  int bad = 0;
+  for (std::int64_t s = 0; s <= 2 * 3600; s += 5) {
+    step(sim::Time::from_us(s * 1'000'000), fwd, bwd);
+    bad += static_cast<int>(fwd[fwd.size() - 4]);  // node 1
+  }
+  EXPECT_EQ(fwd, bwd);
+  EXPECT_GT(bad, 0);  // the chains did leave the good state
+  for (std::size_t i = 1; i < fwd.size(); i += ids.size()) {
+    EXPECT_FALSE(fwd[i]);  // node 2 is exempt
+  }
+}
+
 TEST(InterferenceTest, ScheduledBurstWindowing) {
   std::vector<ScheduledBurstInterference::Burst> bursts = {
       {NodeId{1}, sim::Time::from_us(100), sim::Time::from_us(200), 0.5},
