@@ -1,40 +1,43 @@
-// Distributed campaign dispatch: a lease-serving coordinator and the
-// host agent that executes leases, built for preemptible fleets.
+// Campaign coordination: the one lease loop behind --workers and
+// --hosts, and the host agent that serves it over TCP.
 //
-// Topology: one coordinator (`--hosts a:port,b:port`), N host agents
-// (any bench binary relaunched with `--serve port`). Both ends derive
-// the identical trial list from the same bench arguments — the exact
-// self-exec contract the worker pool (worker.hpp) established — so the
-// only things that cross the wire are trial INDICES (lease grants) and
-// trial RESULTS (journal frames). The coordinator:
+// Topology: one coordinator, N lease-serving peers. A peer is either a
+// local slot (a worker process the coordinator fork/execs on a
+// socketpair, worker.hpp) or a host agent (any bench binary relaunched
+// with `--serve port`, reached over TCP with `--hosts a:port,b:port`).
+// Both ends derive the identical trial list from the same bench
+// arguments, so the only things that cross the stream are trial INDICES
+// (lease grants) and trial RESULTS (journal frames); transport.hpp has
+// the frames. The coordinator loop:
 //
-//   * serves trial-index leases to connected hosts and tracks a
-//     per-lease deadline (heartbeat silence, disconnect, or a corrupt
-//     stream expires the lease);
-//   * reassigns expired leases to whichever host is alive, reconnecting
-//     to lost hosts with capped-exponential Backoff and retiring a host
-//     after max_host_failures fruitless sessions;
-//   * deduplicates double-completions by (index, seed) last-wins —
-//     exactly the shard-merge rule — so a lease finishing on two hosts
-//     after a spurious expiry is harmless;
-//   * attributes host loss to the trials that were in flight and marks
-//     a trial kHardCrash once it survives max_trial_crashes host
-//     deaths (the crash-loop quarantine, extended across machines);
-//   * journals every accepted result to a coordinator-side shard
+//   * serves trial-index leases to live peers and tracks per-peer
+//     deadlines (heartbeat silence, disconnect, or a corrupt stream ends
+//     the session and returns the unsettled part of its lease);
+//   * restarts lost peers with capped-exponential Backoff — a local slot
+//     is respawned, a host is reconnected — and retires a peer after
+//     enough fruitless sessions in a row;
+//   * settles a trial on a result or a terminal failure, deduplicating
+//     double-completions by (index, seed) last-wins;
+//   * attributes a peer's death to the trials that were in flight and
+//     marks a trial kHardCrash once it survives max_trial_crashes
+//     deaths (the crash-loop quarantine, local and across machines);
+//   * journals every accepted result to one coordinator-side shard
 //     ("<stem>.w1000000.journal"), so SIGKILLing the coordinator loses
-//     nothing a host already reported; and
-//   * degrades to a pure-local run_supervised pass over whatever is
-//     left if every host dies — the campaign ALWAYS completes.
+//     nothing a peer already reported; and
+//   * once every peer has retired, finishes a host fleet's remaining
+//     work in-process (the campaign ALWAYS completes) or, for local
+//     slots, fails it as kHardCrash (process isolation is the contract
+//     of --workers).
 //
 // Determinism: every trial is a pure function of its config, results
 // ride CRC-framed journal records byte-for-byte, the final report is
 // keyed by trial index, and the shard compaction at the end rewrites
-// the main journal in index order — so a clean distributed run's
+// the main journal in index order — so a clean campaign's
 // CampaignReport and --journal file are byte-identical to a
 // single-process run, and a resume after coordinator SIGKILL is
-// bit-identical too. Liveness caveat: a host that heartbeats but never
+// bit-identical too. Liveness caveat: a peer that heartbeats but never
 // finishes its trial is only expired when --max-trial-ms arms
-// trial_timeout_ms, same as the worker pool.
+// trial_timeout_ms.
 #pragma once
 
 #include <cstddef>
@@ -48,9 +51,8 @@
 
 namespace fourbit::runner {
 
-/// Coordinator-side journal shard ids, far above any worker-pool slot
-/// (those are 0..workers-1): results accepted over the wire, and the
-/// local-fallback supervisor's journal, live in these shards until the
+/// Coordinator-side journal shard ids: results accepted from peers, and
+/// the in-process fallback's journal, live in these shards until the
 /// final compaction folds both into the main journal.
 inline constexpr std::size_t kRemoteShardId = 1'000'000;
 inline constexpr std::size_t kLocalShardId = 1'000'001;
@@ -63,8 +65,9 @@ struct DispatchOptions {
   /// Host agents to drive (from --hosts). May be empty, in which case
   /// the whole campaign is one local fallback pass.
   std::vector<HostEndpoint> hosts;
-  /// Trials per lease grant; 0 = auto (pending / 2·live hosts, capped
-  /// at 32 — small enough that a lost host forfeits little work).
+  /// Trials per lease grant; 0 = auto (unleased / 2·live peers + 1,
+  /// capped at 32 — small enough that a lost peer forfeits little
+  /// work). --workers uses the auto rule.
   std::size_t lease_trials = 0;
 
   /// A host session silent for this long is dead: lease expired.
@@ -104,9 +107,9 @@ struct DispatchOptions {
 /// Host-agent mode (--serve): listens on cli.serve_port (0 =
 /// ephemeral; the bound port is announced on stderr as
 /// "fourbit-agent: listening on port N"), then serves coordinator
-/// sessions forever — grant in, trials run (through the worker pool
-/// when --workers is given, in-process otherwise), statuses and
-/// results stream out. Never returns; the agent dies by signal.
+/// sessions forever — grant in, trials run (each lease through the
+/// coordinator loop on local slots when --workers is given, in-process
+/// otherwise), statuses and results stream out. Never returns; the agent dies by signal.
 /// `options` is the agent's supervisor policy — typically
 /// cli.supervisor_options(), run_trial overridden by tests; its
 /// journal_path is ignored (results are durable on the coordinator).

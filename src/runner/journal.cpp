@@ -226,8 +226,8 @@ TrialJournal::LoadResult TrialJournal::load(const std::string& path) {
 }
 
 std::string TrialJournal::shard_path(const std::string& stem,
-                                     std::size_t worker) {
-  return stem + ".w" + std::to_string(worker) + ".journal";
+                                     std::size_t shard) {
+  return stem + ".w" + std::to_string(shard) + ".journal";
 }
 
 TrialJournal::ShardMergeResult TrialJournal::merge_shards(
@@ -235,7 +235,7 @@ TrialJournal::ShardMergeResult TrialJournal::merge_shards(
   ShardMergeResult out;
 
   // Find every "<basename>.w<k>.journal" sibling of `stem`, sorted
-  // numerically by worker id so "last record wins" is deterministic.
+  // numerically by shard id so "last record wins" is deterministic.
   namespace fs = std::filesystem;
   const fs::path stem_path{stem};
   const fs::path dir =

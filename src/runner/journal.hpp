@@ -64,17 +64,17 @@ class TrialJournal {
     bool torn = false;
   };
 
-  /// Worker k's shard of a multi-process campaign journal:
-  /// "<stem>.w<k>.journal" next to the main journal at `stem`.
+  /// Shard k of a campaign journal: "<stem>.w<k>.journal" next to the
+  /// main journal at `stem`. A coordinator journals into shards while
+  /// it runs (dispatch.hpp) and compacts them into `stem` at the end.
   [[nodiscard]] static std::string shard_path(const std::string& stem,
-                                              std::size_t worker);
+                                              std::size_t shard);
 
   struct ShardMergeResult {
     /// Union of every intact record across all shards, deduplicated by
     /// (trial_index, seed): when the same trial appears in multiple
-    /// shards (overlapping ranges after a respawn/resume), the last
-    /// complete record — shard order ascending by worker id, file order
-    /// within a shard — wins.
+    /// shards, the last complete record — shard order ascending by
+    /// shard id, file order within a shard — wins.
     std::vector<JournalEntry> entries;
     std::size_t shards = 0;   // shard files found
     std::size_t records = 0;  // intact records read (pre-dedup)
@@ -82,7 +82,7 @@ class TrialJournal {
   };
 
   /// Loads and merges every "<stem>.w*.journal" shard (numeric order by
-  /// worker id). Seed validation is the caller's job at replay time —
+  /// shard id). Seed validation is the caller's job at replay time —
   /// exactly as for load() — so a foreign-seed shard record is rejected
   /// there, not here.
   [[nodiscard]] static ShardMergeResult merge_shards(const std::string& stem);

@@ -5,11 +5,11 @@
 // trial lifecycle counts (done/failed/retried/in-flight), throughput and
 // ETA, one row per worker/host source with its lease state and health,
 // and the merged telemetry registry (counters summed, gauges last-wins,
-// histograms merged bin-wise). Workers serialize snapshots over the FW
-// pipe (WorkerRecordKind::kStatus), host agents over the FT control
-// socket (ControlKind::kStatus); the coordinator merges them and
-// publishes the result via `--status-json` (write-temp-then-rename, so
-// the file is always one complete JSON object) and the live ticker.
+// histograms merged bin-wise). Lease-serving peers — local workers and
+// host agents — forward snapshots as FT control frames
+// (ControlKind::kStatus); the coordinator merges them and publishes the
+// result via `--status-json` (write-temp-then-rename, so the file is
+// always one complete JSON object) and the live ticker.
 //
 // Everything here is strictly off-band: snapshots never touch stdout,
 // CampaignReport, or `--journal` files, so clean-run bytes are identical
@@ -89,9 +89,9 @@ struct StatusSnapshot {
 };
 
 /// Snapshot payload codec (ByteWriter/ByteReader, big-endian, histogram
-/// bins run-compressed). The bytes travel inside existing CRC-framed
-/// records — FW kStatus `what` and FT kStatus `text` — so framing and
-/// corruption latching are inherited. decode returns nullopt on any
+/// bins run-compressed). The bytes travel inside a CRC-framed record —
+/// an FT kStatus frame's `text` — so framing and corruption latching
+/// are inherited. decode returns nullopt on any
 /// malformed payload (bad version, oversized tables, truncation).
 [[nodiscard]] std::vector<std::uint8_t> encode_status_snapshot(
     const StatusSnapshot& snapshot);

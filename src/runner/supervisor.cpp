@@ -354,8 +354,6 @@ CampaignCli consume_campaign_cli(int& argc, char** argv) {
   cli.worker_id = static_cast<std::uint32_t>(
       consume_uint_flag(argc, argv, "--worker-id").value_or(0));
   cli.worker_shard = consume_flag(argc, argv, "--worker-shard").value_or("");
-  cli.worker_trials =
-      consume_flag(argc, argv, "--worker-trials").value_or("");
   cli.worker_heartbeat_ms =
       consume_uint_flag(argc, argv, "--worker-heartbeat-ms").value_or(250);
   cli.journal = consume_flag(argc, argv, "--journal").value_or("");

@@ -125,13 +125,14 @@ struct SupervisorOptions {
   /// throwing / asserting / hanging trials here.
   std::function<ExperimentResult(const ExperimentConfig&)> run_trial;
 
-  /// Run only these trial indices (empty = all). A multi-process worker
-  /// (worker.hpp) runs the range the coordinator assigned it this way;
+  /// Run only these trial indices (empty = all). A lease-serving peer
+  /// (worker.hpp, dispatch.hpp) runs each lease it is granted this way;
   /// unlisted slots stay untouched in the report.
   std::vector<std::size_t> subset;
-  /// Invoked on the worker thread immediately before a trial's first
-  /// attempt (workers stream it to the coordinator so a process death
-  /// can be attributed to the trials that were in flight).
+  /// Invoked immediately before a trial's first attempt (peers stream
+  /// it to the coordinator so a process death can be attributed to the
+  /// trials that were in flight; a coordinator calls it as peers report
+  /// their starts).
   std::function<void(std::size_t, const ExperimentConfig&)> on_trial_start;
   /// When non-empty, every trial periodically flushes its flight
   /// recorder to "<base>.t<index>.flight" (worker.hpp snapshot format)
@@ -282,11 +283,12 @@ struct CampaignCli {
 
   // Hidden worker-mode plumbing (never typed by a user): the
   // coordinator re-execs argv with these appended, and run_campaign
-  // (worker.hpp) branches into the worker protocol when worker_fd >= 0.
-  int worker_fd = -1;          // --worker-fd: pipe back to the coordinator
+  // (worker.hpp) serves its leases when worker_fd >= 0.
+  int worker_fd = -1;          // --worker-fd: socket to the coordinator
   std::uint32_t worker_id = 0; // --worker-id
-  std::string worker_shard;    // --worker-shard: this worker's journal shard
-  std::string worker_trials;   // --worker-trials: assigned index spans
+  /// --worker-shard: base path of this worker's flight-recorder
+  /// snapshots (flight_snapshot_path).
+  std::string worker_shard;
   std::uint64_t worker_heartbeat_ms = 250;  // --worker-heartbeat-ms
 
   /// Snapshot of the ORIGINAL argv (before any flag was stripped): the

@@ -20,10 +20,11 @@ namespace {
 constexpr std::uint8_t kControlVersion = 1;
 constexpr std::size_t kFrameHeaderBytes = 6;  // magic u16 + length u32
 constexpr std::size_t kCrcBytes = 2;
-// Per-magic sanity caps, mirroring the pipe parser: status and control
-// frames are small, but a journal frame carries per-node vectors and
-// scales with topology size (~12 bytes/node), so it gets more rope. A
-// length past the cap is corruption, not a giant record.
+// Per-magic sanity caps: FW records and control frames are small, but
+// a journal frame carries per-node vectors and scales with topology
+// size (~12 bytes/node), so it gets more rope. A length past the cap is
+// corruption, not a giant record (the largest FW record is a
+// kTrialFailed carrying a flight plus an exception message).
 constexpr std::size_t kMaxStatusFrameBytes = 1 << 20;
 constexpr std::size_t kMaxControlFrameBytes = 1 << 20;
 constexpr std::size_t kMaxResultFrameBytes = 8 << 20;
@@ -217,7 +218,7 @@ std::optional<TransportFrame> TransportParser::next() {
   const std::uint16_t magic = header.u16();
   std::size_t max_frame = 0;
   switch (magic) {
-    case kWorkerPipeMagic: max_frame = kMaxStatusFrameBytes; break;
+    case kWorkerRecordMagic: max_frame = kMaxStatusFrameBytes; break;
     case kJournalMagic: max_frame = kMaxResultFrameBytes; break;
     case kControlMagic: max_frame = kMaxControlFrameBytes; break;
     default:
@@ -240,7 +241,7 @@ std::optional<TransportFrame> TransportParser::next() {
   TransportFrame frame;
   bool decoded = false;
   switch (magic) {
-    case kWorkerPipeMagic: {
+    case kWorkerRecordMagic: {
       frame.type = TransportFrame::Type::kStatus;
       auto rec = decode_worker_record_payload(payload);
       if (rec) {

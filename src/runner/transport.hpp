@@ -1,28 +1,32 @@
-// TCP transport for distributed campaign dispatch (dispatch.hpp).
+// The lease protocol between a campaign coordinator and its peers
+// (dispatch.hpp), and the fd plumbing it runs on.
 //
-// The wire protocol is deliberately NOT new: a host agent streams the
-// exact CRC-framed records the worker pool already defines — status
-// frames ("FW", worker.hpp) for liveness and trial lifecycle, journal
-// frames ("FJ", journal.hpp) for results — plus one small control
-// framing ("FT") for lease grants and completion. Every frame is
-// magic u16 | length u32 | payload | crc16(payload), so one
-// incremental parser (TransportParser) demultiplexes the socket by
-// magic and any framing violation latches corrupt(), which the
-// coordinator treats exactly like a worker pipe going bad: the host
-// session is dead, its lease expires, the trials move elsewhere.
+// One protocol serves both kinds of peer: a local worker on a
+// socketpair (--workers) and a host agent on a TCP socket (--hosts).
+// Three CRC-framed record families share the stream:
+//   * "FW" records (worker.hpp): hello, heartbeats, trial start /
+//     done / failed — liveness and trial lifecycle;
+//   * "FJ" journal frames (journal.hpp): one trial's result, the exact
+//     bytes a journal append writes;
+//   * "FT" control frames (below): leases, status and shutdown.
+// Every frame is magic u16 | length u32 | payload | crc16(payload), so
+// one incremental parser (TransportParser) demultiplexes the stream by
+// magic, and any framing violation latches corrupt(): the peer's
+// session is dead, its lease returns to the pool, its trials move on.
 //
 // Control frames ("FT") carry:
 //     payload = version u8 | kind u8 | lease u32 | text (u32 + bytes)
-//   coordinator -> host:  kLeaseGrant (text = index spans, e.g.
+//   coordinator -> peer:  kLeaseGrant (text = index spans, e.g.
 //                         "0-4,9"), kShutdown (campaign settled)
-//   host -> coordinator:  kLeaseComplete (every trial in the lease is
-//                         settled and its results have been streamed)
+//   peer -> coordinator:  kLeaseComplete (every trial in the lease is
+//                         settled and its results have been streamed),
+//                         kStatus (an encoded fourbit.status/1 snapshot)
 //
-// The fd helpers here are the EINTR/partial-write audit the worker
-// pipe already passed, extended to sockets: poll/accept/connect retry
-// on EINTR, write_all_fd finishes short writes and waits out EAGAIN on
-// nonblocking fds, and both ends ignore SIGPIPE (a peer death must
-// surface as a return value, never a signal).
+// The fd helpers here are EINTR- and partial-write-safe for sockets:
+// poll/accept/connect retry on EINTR, write_all_fd finishes short
+// writes and waits out EAGAIN on nonblocking fds, and both ends ignore
+// SIGPIPE (a peer death must surface as a return value, never a
+// signal).
 #pragma once
 
 #include <poll.h>
@@ -81,12 +85,12 @@ struct ListenSocket {
 inline constexpr std::uint16_t kControlMagic = 0x4654;  // "FT"
 
 enum class ControlKind : std::uint8_t {
-  kLeaseGrant = 0,     // coordinator -> host: text = trial index spans
-  kLeaseComplete = 1,  // host -> coordinator: lease fully settled
-  kShutdown = 2,       // coordinator -> host: campaign over, hang up
-  /// host -> coordinator: text = an encoded fourbit.status/1 payload
-  /// (runner/status.hpp codec) with the host's lease-local merged
-  /// metrics. Strictly off-band — never touches trial accounting.
+  kLeaseGrant = 0,     // coordinator -> peer: text = trial index spans
+  kLeaseComplete = 1,  // peer -> coordinator: lease fully settled
+  kShutdown = 2,       // coordinator -> peer: campaign over, hang up
+  /// peer -> coordinator: text = an encoded fourbit.status/1 payload
+  /// (runner/status.hpp codec) with the peer's merged metrics for its
+  /// whole session. Strictly off-band — never touches trial accounting.
   kStatus = 3,
 };
 
@@ -106,7 +110,7 @@ struct ControlMessage {
 
 // ---- the demultiplexing parser ---------------------------------------
 
-/// One frame off the socket: exactly one of the three alternatives is
+/// One frame off the stream: exactly one of the three alternatives is
 /// meaningful, selected by `type`.
 struct TransportFrame {
   enum class Type { kStatus, kResult, kControl };
@@ -116,10 +120,10 @@ struct TransportFrame {
   ControlMessage control;  // kControl ("FT")
 };
 
-/// Incremental parser over the mixed-magic socket stream, same
-/// contract as WorkerPipeParser: feed bytes as they arrive, drain
-/// complete frames with next(), and any framing/CRC/decode violation
-/// latches corrupt() — the peer is untrustworthy from that point.
+/// Incremental parser over the mixed-magic stream: feed bytes as they
+/// arrive, drain complete frames with next(), and any framing/CRC/
+/// decode violation latches corrupt() — the peer is untrustworthy from
+/// that point.
 class TransportParser {
  public:
   void feed(const std::uint8_t* data, std::size_t n);

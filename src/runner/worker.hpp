@@ -1,5 +1,6 @@
-// Multi-process campaign execution: a coordinator that fork/execs
-// worker processes and survives anything a trial can do to them.
+// Multi-process campaign execution: `--workers K` runs a campaign on K
+// local lease slots, each a fork/exec'd worker process that survives
+// nothing a trial can do to it but leaves the coordinator standing.
 //
 // The in-process supervisor (supervisor.hpp) catches what C++ lets it
 // catch — exceptions, asserts, cooperative budget timeouts. It is
@@ -7,29 +8,31 @@
 // those take the whole process, and every sibling trial, with it.
 // run_multiprocess moves the isolation boundary to processes:
 //
-//   * The coordinator self-execs argv with hidden --worker-* flags; a
-//     worker rebuilds the identical trial list from argv (every bench
-//     derives trials purely from its arguments) and runs only its
-//     assigned index spans via SupervisorOptions::subset.
-//   * Workers report status — hello, heartbeats, trial start/done/
-//     failed — over a CRC-framed pipe. RESULTS never ride the pipe:
-//     each worker appends them to its own crash-safe journal shard
-//     ("<stem>.w<k>.journal", journal.hpp), which is what makes both
-//     worker and coordinator deaths recoverable.
-//   * The coordinator reaps deaths with waitpid and converts fatal
-//     signals / nonzero exits / torn pipe frames into
-//     FailureKind::kHardCrash, attaching the worker's last flushed
-//     flight-recorder snapshot when one exists. Dead workers respawn
-//     with capped exponential backoff; a trial that keeps killing its
-//     worker is marked failed-permanent after max_trial_crashes, so a
-//     poisonous config degrades the campaign instead of wedging it.
-//   * At the end the coordinator merges all shards into one
-//     CampaignReport that is bit-identical to a single-process run for
-//     every surviving trial, at any --workers / --threads combination.
+//   * The coordinator self-execs argv with hidden --worker-* flags on
+//     one end of a socketpair; a worker rebuilds the identical trial
+//     list from argv (every bench derives trials purely from its
+//     arguments).
+//   * A worker is a lease-serving peer. It speaks the host-agent
+//     protocol (transport.hpp) over the socketpair: FW records for
+//     liveness and trial lifecycle, FJ journal frames for results, FT
+//     frames for leases, status and shutdown. The coordinator loop that
+//     drives TCP host agents (dispatch.hpp) drives local slots too:
+//     one loop grants leases, settles trials, journals results to one
+//     coordinator shard, and quarantines crash loops.
+//   * The loop reaps a local death with waitpid and converts fatal
+//     signals / nonzero exits / torn frames into FailureKind::kHardCrash,
+//     attaching the worker's last flushed flight-recorder snapshot when
+//     one exists. Dead workers respawn with capped exponential backoff;
+//     a trial that keeps killing its worker is marked failed-permanent
+//     after max_trial_crashes.
+//   * The final CampaignReport is bit-identical to a single-process run
+//     for every surviving trial, at any --workers / --threads
+//     combination, and a --journal ends up byte-identical too.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -41,12 +44,9 @@
 
 namespace fourbit::runner {
 
-// ---- worker -> coordinator pipe protocol ------------------------------
+// ---- FW records: peer -> coordinator liveness and trial lifecycle ----
 //
-// One direction only (worker writes, coordinator reads): the worker's
-// entire input is its argv, so a torn or corrupt frame can always be
-// blamed on the worker and handled as a hard crash — never a protocol
-// deadlock. Frame layout mirrors the journal:
+// Frame layout mirrors the journal:
 //     magic   u16  0x4657 ("FW")
 //     length  u32  payload byte count
 //     payload      version u8 | kind u8 | worker u32 | trial_index u32
@@ -54,19 +54,15 @@ namespace fourbit::runner {
 //                  | retried_total u32 | what (u32 + bytes)
 //                  | flight (u32 + 37-byte events)
 //     crc     u16  CRC-16/CCITT over the payload
+// TransportParser (transport.hpp) reads them off the stream alongside
+// FJ and FT frames.
 
 enum class WorkerRecordKind : std::uint8_t {
-  kHello = 0,      // first record after exec
+  kHello = 0,      // first record of a session; leases follow it
   kHeartbeat = 1,  // liveness tick (heartbeat_interval_ms cadence)
-  kTrialStart = 2, // a trial's first attempt is beginning
-  kTrialDone = 3,  // trial completed; its result is in the shard
-  kTrialFailed = 4,// trial failed terminally in-process (soft failure)
-  kBye = 5,        // clean shutdown follows
-  /// Periodic observability snapshot: `what` carries an encoded
-  /// fourbit.status/1 payload (runner/status.hpp codec). Strictly
-  /// off-band — the coordinator merges it for --status-json and the
-  /// ticker; it never influences trial accounting.
-  kStatus = 6,
+  kTrialStart = 2, // a trial's first attempt is beginning (liveness)
+  kTrialDone = 3,  // trial completed; its FJ result frame follows
+  kTrialFailed = 4,// trial failed terminally in the peer (settles it)
 };
 
 struct WorkerRecord {
@@ -76,40 +72,22 @@ struct WorkerRecord {
   std::uint64_t seed = 0;
   std::uint32_t attempt = 0;       // attempts consumed by this trial
   FailureKind failure_kind = FailureKind::kException;  // kTrialFailed
-  std::uint32_t retried_total = 0; // retries so far, this incarnation
+  std::uint32_t retried_total = 0; // retries so far, this session
   std::string what;                // kTrialFailed: the failure message
   std::vector<sim::TelemetryEvent> flight;  // kTrialFailed only
 };
 
-/// Worker status frame magic ("FW"). The dispatch transport multiplexes
-/// status frames over the host/coordinator socket and dispatches on it.
-inline constexpr std::uint16_t kWorkerPipeMagic = 0x4657;
+/// FW frame magic; TransportParser dispatches on it.
+inline constexpr std::uint16_t kWorkerRecordMagic = 0x4657;
 
 /// Serializes one record as a complete frame (header + payload + CRC).
 [[nodiscard]] std::vector<std::uint8_t> encode_worker_record(
     const WorkerRecord& record);
 
-/// Decodes one status frame payload (the bytes between the length field
+/// Decodes one FW frame payload (the bytes between the length field
 /// and the CRC). Returns nullopt on version or layout mismatch.
 [[nodiscard]] std::optional<WorkerRecord> decode_worker_record_payload(
     std::span<const std::uint8_t> payload);
-
-/// Incremental frame parser over an arbitrary byte stream. Feed bytes
-/// as they arrive; drain complete records with next(). Any framing or
-/// CRC violation latches corrupt() — the stream is untrustworthy from
-/// that point and the worker behind it gets hard-crash treatment.
-class WorkerPipeParser {
- public:
-  void feed(const std::uint8_t* data, std::size_t n);
-  /// Next complete record, or nullopt (need more bytes / corrupt).
-  [[nodiscard]] std::optional<WorkerRecord> next();
-  [[nodiscard]] bool corrupt() const { return corrupt_; }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-  std::size_t pos_ = 0;  // consumed prefix, compacted opportunistically
-  bool corrupt_ = false;
-};
 
 // ---- trial index spans ------------------------------------------------
 
@@ -126,9 +104,10 @@ class WorkerPipeParser {
 //
 // A worker can die holding the only evidence of what its sim was doing.
 // run_experiment periodically flushes the flight recorder to
-// flight_snapshot_path(shard, index) (write-temp-then-rename, so the
-// file is always a complete snapshot or absent); the coordinator loads
-// the latest one into the hard-crash TrialFailure.
+// flight_snapshot_path(base, index) (write-temp-then-rename, so the
+// file is always a complete snapshot or absent), where base is the
+// worker's --worker-shard; the coordinator loads the latest one into
+// the hard-crash TrialFailure.
 
 struct FlightSnapshot {
   std::uint32_t trial_index = 0;
@@ -145,18 +124,18 @@ void write_flight_snapshot(const std::string& path, std::size_t trial_index,
 [[nodiscard]] std::optional<FlightSnapshot> load_flight_snapshot(
     const std::string& path);
 
-// ---- the coordinator --------------------------------------------------
+// ---- local lease slots -----------------------------------------------
 
 struct MultiprocessOptions {
   /// Trial-level policy (threads = per-worker threads; journal_path =
-  /// the main journal stem, also where shards live; on_trial_done fires
-  /// on the coordinator as workers report — result pointers are null,
-  /// results only exist after the final shard merge).
+  /// the main journal stem, next to which the coordinator keeps its one
+  /// result shard; on_trial_start/on_trial_done fire on the coordinator
+  /// as trials start and settle).
   SupervisorOptions supervisor;
   std::size_t workers = 1;
   /// The self-exec command: the ORIGINAL argv (CampaignCli::exec_argv).
   /// The coordinator appends --worker-fd/--worker-id/--worker-shard/
-  /// --worker-trials when spawning.
+  /// --worker-heartbeat-ms when spawning.
   std::vector<std::string> exec_argv;
 
   /// Worker liveness: a worker that sends nothing for
@@ -170,8 +149,8 @@ struct MultiprocessOptions {
   /// SimBudget cannot interrupt (e.g. a blocking syscall).
   std::uint64_t trial_timeout_ms = 0;
 
-  /// Backoff between a worker death and its respawn, seeded by the
-  /// first still-pending trial so respawn timing is deterministic.
+  /// Backoff between a worker death and its respawn, stepped by the
+  /// slot's consecutive fruitless deaths.
   Backoff respawn_backoff{250, 10'000, 0.25};
   /// A trial in flight during this many worker deaths is declared the
   /// killer and marked failed-permanent (kHardCrash) instead of being
@@ -181,8 +160,8 @@ struct MultiprocessOptions {
   /// Live observability. status_path: publish a merged fourbit.status/1
   /// snapshot there every status_interval_ms (write-temp-then-rename).
   /// on_status: additionally hand each merged snapshot to this callback
-  /// (the host agent forwards them to its coordinator over FT). Both
-  /// are strictly off-band.
+  /// (a host agent forwards them to its coordinator over FT). Both are
+  /// strictly off-band.
   std::string status_path;
   std::uint64_t status_interval_ms = 1000;
   std::function<void(const StatusSnapshot&)> on_status;
@@ -192,17 +171,19 @@ struct MultiprocessOptions {
 };
 
 /// Runs the campaign across worker processes. Blocks until every trial
-/// is settled (completed, failed, or failed-permanent). Never throws on
-/// worker misbehavior — only on coordinator-side I/O setup errors.
+/// is settled (completed, failed, or failed-permanent) and every worker
+/// it spawned is reaped. Never throws on worker misbehavior — only on
+/// coordinator-side I/O setup errors.
 [[nodiscard]] CampaignReport run_multiprocess(
     const std::vector<ExperimentConfig>& trials,
     const MultiprocessOptions& options);
 
-/// Worker-mode entry: runs the assigned spans via run_supervised with
-/// the shard journal and streams status over cli.worker_fd, then exits
-/// the process (never returns). `options` is the worker's supervisor
-/// policy — typically cli.supervisor_options(), with run_trial
-/// overridden by tests.
+/// Worker-mode entry: serves the coordinator's leases over cli.worker_fd
+/// until it shuts the session down or goes away, then ends the process
+/// with std::exit (never returns), so atexit handlers run. `options` is
+/// the worker's supervisor policy — typically cli.supervisor_options(),
+/// with run_trial overridden by tests; its journal_path is ignored
+/// (results are journaled by the coordinator).
 [[noreturn]] void run_worker(const std::vector<ExperimentConfig>& trials,
                              const CampaignCli& cli,
                              SupervisorOptions options);

@@ -1,16 +1,18 @@
 // Tests of distributed campaign dispatch (runner/dispatch.hpp) and its
 // TCP transport (runner/transport.hpp): the control-frame codec, the
-// mixed-magic TransportParser, a mutation fuzzer over both stream
-// parsers, the --hosts/--serve/--lease CLI surface, the journal
+// mixed-magic TransportParser, a mutation fuzzer over the stream
+// parser, the --hosts/--serve/--lease CLI surface, the journal
 // write-failure latch, and end-to-end localhost campaigns against real
 // host-agent processes that get SIGKILLed mid-trial.
 //
 // This binary self-execs as its own host agents: main() checks for
 // --serve and, when present, rebuilds the trial list from --dt-* flags
 // and enters run_host_agent with a scenario-driven run_trial override
-// instead of running gtest. Scenarios key on the SEED (trial i has seed
-// base + i) because agent-side leases run without tracing, so
-// config.trace_trial is not stamped.
+// instead of running gtest. An agent given --workers self-execs again
+// for its workers, which main() routes to run_worker on --worker-fd.
+// Scenarios key on the SEED (trial i has seed base + i) because
+// agent-side leases run without tracing, so config.trace_trial is not
+// stamped.
 #include <gtest/gtest.h>
 
 #include <poll.h>
@@ -130,6 +132,21 @@ std::function<ExperimentResult(const ExperimentConfig&)> clean_run_trial() {
   auto options = cli.supervisor_options();
   options.run_trial = scenario_run_trial(scenario, base);
   run_host_agent(scenario_trials(n, base), cli, std::move(options));
+}
+
+/// Worker-mode entry (called from main when --worker-fd is present): an
+/// agent started with --workers self-execs its workers, which rebuild
+/// the same trial list and scenario and serve the agent's leases.
+[[noreturn]] void dt_worker_main(int argc, char** argv, CampaignCli cli) {
+  const Scenario scenario = parse_scenario(
+      consume_flag(argc, argv, "--dt-scenario").value_or("clean"));
+  const std::size_t n = static_cast<std::size_t>(
+      consume_uint_flag(argc, argv, "--dt-trials").value_or(0));
+  const std::uint64_t base =
+      consume_uint_flag(argc, argv, "--dt-seed").value_or(1);
+  auto options = cli.supervisor_options();
+  options.run_trial = scenario_run_trial(scenario, base);
+  run_worker(scenario_trials(n, base), cli, std::move(options));
 }
 
 namespace {
@@ -428,28 +445,30 @@ std::vector<std::uint8_t> fuzz_corpus() {
   return stream;
 }
 
-/// Feeds `stream` to both parsers in random chunks. The only demands:
-/// no crash, no OOB (ASan's job), no unbounded frame production, and a
-/// latched parser stays latched.
+/// Feeds `stream` to two parsers, one in random chunks and one a byte
+/// at a time. The only demands: no crash, no OOB (ASan's job), no
+/// unbounded frame production, and a latched parser stays latched.
 void exercise_parsers(const std::vector<std::uint8_t>& stream, Lcg& rng) {
   TransportParser transport;
-  WorkerPipeParser pipe;
+  TransportParser bytewise;
   std::size_t frames = 0;
   std::size_t at = 0;
   while (at < stream.size()) {
     const std::size_t chunk =
         std::min(stream.size() - at, rng.below(97) + 1);
     transport.feed(stream.data() + at, chunk);
-    pipe.feed(stream.data() + at, chunk);
+    for (std::size_t b = 0; b < chunk; ++b) {
+      const bool was_corrupt = bytewise.corrupt();
+      bytewise.feed(stream.data() + at + b, 1);
+      while (auto f = bytewise.next()) {
+        ASSERT_FALSE(was_corrupt) << "frame produced after corrupt latch";
+        ++frames;
+      }
+    }
     at += chunk;
-    bool was_corrupt = transport.corrupt();
+    const bool was_corrupt = transport.corrupt();
     while (auto f = transport.next()) {
       ASSERT_FALSE(was_corrupt) << "frame produced after corrupt latch";
-      ++frames;
-    }
-    was_corrupt = pipe.corrupt();
-    while (auto r = pipe.next()) {
-      ASSERT_FALSE(was_corrupt) << "record produced after corrupt latch";
       ++frames;
     }
     ASSERT_LE(frames, 4 * stream.size());
@@ -791,13 +810,17 @@ TEST(DispatchTest, StatusStaysWellFormedThroughHostLoss) {
   EXPECT_GE(last.host_losses, 1u);
   std::size_t host_rows = 0;
   std::uint64_t losses = 0;
+  std::uint64_t source_done = 0;
   for (const auto& src : last.sources) {
+    EXPECT_EQ(src.lease, "") << src.name;
+    source_done += src.done;
     if (src.kind != StatusSource::Kind::kHost) continue;
     ++host_rows;
     losses += src.losses;
   }
   EXPECT_EQ(host_rows, 2u);
   EXPECT_GE(losses, 1u);
+  EXPECT_EQ(source_done, last.done);
 
   const std::string text = slurp(status_path);
   EXPECT_NE(text.find("\"schema\":\"fourbit.status/1\""), std::string::npos);
@@ -805,6 +828,66 @@ TEST(DispatchTest, StatusStaysWellFormedThroughHostLoss) {
   EXPECT_TRUE(text.ends_with("}\n"));
   EXPECT_FALSE(std::filesystem::exists(status_path + ".tmp"));
   std::filesystem::remove(status_path);
+}
+
+TEST(DispatchTest, HostStatusCoversEveryLeaseOfTheSession) {
+  // Each host serves several leases in one session. The metrics it
+  // forwards must cover all of them, and the coordinator's final
+  // snapshot must include every host's last lease: one trial wall time
+  // per trial in the campaign-wide histogram.
+  const std::uint64_t base = 950;
+  const std::size_t n = 8;
+  SpawnedAgent a{"clean", n, base};
+  SpawnedAgent b{"clean", n, base};
+  ASSERT_NE(a.port(), 0);
+  ASSERT_NE(b.port(), 0);
+
+  DispatchOptions options = dt_options({a.port(), b.port()});
+  options.lease_trials = 2;  // at least two leases per host
+  options.status_interval_ms = 20;
+  std::vector<StatusSnapshot> snaps;
+  options.on_status = [&](const StatusSnapshot& snap) {
+    snaps.push_back(snap);
+  };
+  const auto report = run_distributed(scenario_trials(n, base), options);
+  ASSERT_TRUE(report.all_completed());
+  ASSERT_EQ(report.host_health.size(), 2u);
+  EXPECT_EQ(report.host_health[0].completed + report.host_health[1].completed,
+            n);
+
+  ASSERT_FALSE(snaps.empty());
+  const auto& last = snaps.back();
+  EXPECT_EQ(last.done, n);
+  const sim::Histogram* wall = nullptr;
+  for (const auto& h : last.histograms) {
+    if (h.component == "runner" && h.name == "trial_wall_ms") wall = &h.hist;
+  }
+  ASSERT_NE(wall, nullptr);
+  EXPECT_EQ(wall->count, n);
+}
+
+TEST(DispatchTest, AgentWorkerPoolContainsTrialSegv) {
+  // An agent started with --workers runs each lease on local worker
+  // slots: the trial that SIGSEGVs kills a worker, never the agent, so
+  // the coordinator loses no host and receives the trial as a hard
+  // crash while every other trial completes.
+  const std::uint64_t base = 980;
+  const std::size_t n = 8;
+  SpawnedAgent agent{"segv@3", n, base, {"--workers", "2"}};
+  ASSERT_NE(agent.port(), 0);
+
+  const auto report =
+      run_distributed(scenario_trials(n, base), dt_options({agent.port()}));
+  EXPECT_EQ(report.host_losses, 0u);
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_EQ(report.failures[0].trial_index, 3u);
+  EXPECT_EQ(report.failures[0].kind, FailureKind::kHardCrash);
+  const auto reference = reference_report(n, base);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == 3) continue;
+    ASSERT_TRUE(report.completed[i]) << "trial " << i;
+    expect_identical(report.results[i], reference.results[i]);
+  }
 }
 
 TEST(DispatchTest, AllHostsDeadFallsBackToLocalRun) {
@@ -917,6 +1000,9 @@ TEST(DispatchTest, CoordinatorSigkillResumeIsBitIdentical) {
 
 int main(int argc, char** argv) {
   auto cli = fourbit::runner::consume_campaign_cli(argc, argv);
+  if (cli.worker_fd >= 0) {
+    fourbit::runner::dt_worker_main(argc, argv, std::move(cli));
+  }
   if (cli.serve_port >= 0) {
     fourbit::runner::dt_agent_main(argc, argv, std::move(cli));
   }

@@ -32,6 +32,7 @@
 #include "runner/campaign.hpp"
 #include "runner/status.hpp"
 #include "runner/supervisor.hpp"
+#include "runner/transport.hpp"
 #include "runner/worker.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
@@ -454,25 +455,25 @@ TEST(StatusCodecTest, TruncatesOverlongStringsAtEncode) {
 }
 
 TEST(StatusCodecTest, RidesTheWorkerPipeFrame) {
-  // The full path a worker snapshot travels: status codec -> FW kStatus
-  // record -> CRC-framed pipe -> parser -> status codec.
+  // The full path a peer's snapshot travels: status codec -> FT kStatus
+  // control frame -> CRC-framed stream -> parser -> status codec.
   const StatusSnapshot snap = sample_snapshot();
   const auto bytes = encode_status_snapshot(snap);
-  WorkerRecord rec;
-  rec.kind = WorkerRecordKind::kStatus;
-  rec.worker = 3;
-  rec.what.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-  const auto frame = encode_worker_record(rec);
+  ControlMessage m;
+  m.kind = ControlKind::kStatus;
+  m.text.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  const auto frame = encode_control_message(m);
 
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
   const auto out = parser.next();
   ASSERT_TRUE(out.has_value());
   EXPECT_FALSE(parser.corrupt());
-  ASSERT_EQ(out->kind, WorkerRecordKind::kStatus);
+  ASSERT_EQ(out->type, TransportFrame::Type::kControl);
+  ASSERT_EQ(out->control.kind, ControlKind::kStatus);
   const auto decoded = decode_status_snapshot(std::span{
-      reinterpret_cast<const std::uint8_t*>(out->what.data()),
-      out->what.size()});
+      reinterpret_cast<const std::uint8_t*>(out->control.text.data()),
+      out->control.text.size()});
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->seq, snap.seq);
   EXPECT_EQ(decoded->done, snap.done);
@@ -966,10 +967,14 @@ TEST(MultiprocessStatusTest, CleanCampaignStreamsMonotonicStatus) {
     EXPECT_EQ(last.failed, 0u);
     EXPECT_EQ(last.in_flight, 0u);
     ASSERT_EQ(last.sources.size(), workers);
+    std::uint64_t source_done = 0;
     for (const auto& src : last.sources) {
       EXPECT_EQ(src.kind, StatusSource::Kind::kWorker);
       EXPECT_EQ(src.name.front(), 'w');
+      EXPECT_EQ(src.lease, "") << src.name;
+      source_done += src.done;
     }
+    EXPECT_EQ(source_done, last.done);
     // Worker registries crossed the pipe and merged: every settle's
     // wall time landed in the campaign-wide histogram.
     const auto* wall = find_hist(last, "runner", "trial_wall_ms");

@@ -1,5 +1,5 @@
 // Tests of the multi-process campaign pool (runner/worker.hpp): the
-// pipe protocol codec and incremental parser, index-span formatting,
+// FW record codec through the stream parser, index-span formatting,
 // flight-recorder snapshots, journal-shard merge semantics, Backoff
 // determinism, the --workers CLI surface, and end-to-end coordinator
 // runs against workers that deliberately SIGSEGV, OOM, hang, exit
@@ -30,6 +30,7 @@
 #include "runner/describe.hpp"
 #include "runner/journal.hpp"
 #include "runner/supervisor.hpp"
+#include "runner/transport.hpp"
 #include "runner/worker.hpp"
 #include "sim/rng.hpp"
 #include "sim/telemetry.hpp"
@@ -266,11 +267,13 @@ TEST(WorkerRecordCodecTest, RoundTripsEveryField) {
   rec.flight[1].kind = sim::EventKind::kDataDrop;
 
   const auto frame = encode_worker_record(rec);
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
-  const auto out = parser.next();
-  ASSERT_TRUE(out.has_value());
+  const auto parsed = parser.next();
+  ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parser.corrupt());
+  ASSERT_EQ(parsed->type, TransportFrame::Type::kStatus);
+  const WorkerRecord* out = &parsed->record;
   EXPECT_EQ(out->kind, WorkerRecordKind::kTrialFailed);
   EXPECT_EQ(out->worker, 7u);
   EXPECT_EQ(out->trial_index, 42u);
@@ -303,11 +306,11 @@ TEST(WorkerPipeParserTest, ReassemblesRecordsFedByteByByte) {
   const auto frame_b = encode_worker_record(b);
   stream.insert(stream.end(), frame_b.begin(), frame_b.end());
 
-  WorkerPipeParser parser;
+  TransportParser parser;
   std::vector<WorkerRecord> records;
   for (const std::uint8_t byte : stream) {
     parser.feed(&byte, 1);
-    while (auto rec = parser.next()) records.push_back(*rec);
+    while (auto frame = parser.next()) records.push_back(frame->record);
   }
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].kind, WorkerRecordKind::kHeartbeat);
@@ -317,7 +320,7 @@ TEST(WorkerPipeParserTest, ReassemblesRecordsFedByteByByte) {
 }
 
 TEST(WorkerPipeParserTest, BadMagicLatchesCorrupt) {
-  WorkerPipeParser parser;
+  TransportParser parser;
   const std::uint8_t junk[8] = {0xAA, 0xBB, 0, 0, 0, 0, 0, 0};
   parser.feed(junk, sizeof junk);
   EXPECT_FALSE(parser.next().has_value());
@@ -336,7 +339,7 @@ TEST(WorkerPipeParserTest, FlippedPayloadByteFailsCrc) {
   rec.trial_index = 3;
   auto frame = encode_worker_record(rec);
   frame[10] ^= 0x01;  // inside the payload
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size());
   EXPECT_FALSE(parser.next().has_value());
   EXPECT_TRUE(parser.corrupt());
@@ -345,7 +348,7 @@ TEST(WorkerPipeParserTest, FlippedPayloadByteFailsCrc) {
 TEST(WorkerPipeParserTest, PartialFrameIsNotCorruptJustIncomplete) {
   WorkerRecord rec;
   const auto frame = encode_worker_record(rec);
-  WorkerPipeParser parser;
+  TransportParser parser;
   parser.feed(frame.data(), frame.size() - 3);
   EXPECT_FALSE(parser.next().has_value());
   EXPECT_FALSE(parser.corrupt());  // a torn tail, pending more bytes
@@ -601,8 +604,7 @@ TEST(WorkersCliTest, ParsesWorkersAndHiddenWorkerFlags) {
       "bench",          "--workers",       "4",
       "--worker-fd",    "7",               "--worker-id",
       "2",              "--worker-shard",  "/tmp/x.w2.journal",
-      "--worker-trials","0-3,8",           "--threads",
-      "3"};
+      "--threads",      "3"};
   auto argv = make_argv(args);
   int argc = static_cast<int>(argv.size());
   const auto cli = consume_campaign_cli(argc, argv.data());
@@ -610,11 +612,10 @@ TEST(WorkersCliTest, ParsesWorkersAndHiddenWorkerFlags) {
   EXPECT_EQ(cli.worker_fd, 7);
   EXPECT_EQ(cli.worker_id, 2u);
   EXPECT_EQ(cli.worker_shard, "/tmp/x.w2.journal");
-  EXPECT_EQ(cli.worker_trials, "0-3,8");
   EXPECT_EQ(cli.threads, 3u);
   EXPECT_EQ(argc, 1);  // everything consumed
   // exec_argv snapshots the ORIGINAL command line, pre-stripping.
-  ASSERT_EQ(cli.exec_argv.size(), 13u);
+  ASSERT_EQ(cli.exec_argv.size(), 11u);
   EXPECT_EQ(cli.exec_argv[0], "bench");
   EXPECT_EQ(cli.exec_argv[1], "--workers");
 }
