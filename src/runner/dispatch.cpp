@@ -46,7 +46,8 @@ struct Source {
   Clock::time_point last_heard{};
   std::uint32_t last_retried_total = 0;
   /// This session settled a trial: a result or terminal failure it
-  /// reported, or a quarantine or watchdog timeout charged to it.
+  /// reported. A local slot's session also counts when it died with a
+  /// trial in flight.
   bool progress = false;
   /// Consecutive fruitless outcomes: failed connects and sessions that
   /// ended without progress.
@@ -290,17 +291,23 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
       const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
       what = "worker " + std::to_string(s.id);
       if (s.parser.corrupt()) {
-        what += " sent a torn or corrupt frame";
+        what += " sent a torn or corrupt pipe frame";
         if (sig != 0) {
           what += " and was killed (signal " + std::to_string(sig) + ")";
         }
+      } else if (why.starts_with("heartbeat")) {
+        what += " stopped heartbeating for over " +
+                std::to_string(options.heartbeat_timeout_ms) +
+                " ms and was killed";
+      } else if (why == "trial-timeout") {
+        what += " was killed after a trial overran the coordinator watchdog";
       } else if (!eof) {
         what += " was killed after " + why;
       } else if (sig != 0) {
         what += " was killed by signal " + std::to_string(sig);
       } else if (code >= 0) {
         what += " exited with status " + std::to_string(code) +
-                " before its shutdown";
+                " before finishing its range";
       } else {
         what += " died unexpectedly";
       }
@@ -318,6 +325,10 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
       status_board.absorb_metrics(*s.status);
       s.status.reset();
     }
+    // A local death with a trial in flight is not fruitless: the crash
+    // count (or the watchdog) settles that trial, so a slot never
+    // retires for running into several poison trials.
+    if (local != nullptr && !s.in_flight.empty()) s.progress = true;
     // Every trial in flight at the moment of death is a suspect; one
     // that keeps being in flight when its peer dies is the killer.
     for (const auto& [i, since] : s.in_flight) {
@@ -335,7 +346,6 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
                           s.name + ")",
                 sig, local != nullptr ? &s : nullptr);
       ++s.failed_here;
-      s.progress = true;
     }
     if (local != nullptr) {
       for (const auto& [i, since] : s.in_flight) {
@@ -584,9 +594,6 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
   // callback writes them.
   const bool status_publishing =
       !options.status_path.empty() || static_cast<bool>(options.on_status);
-  const std::uint64_t status_total =
-      local != nullptr && local->status_total != 0 ? local->status_total
-                                                   : trials.size();
   const auto campaign_start = Clock::now();
   std::uint64_t status_seq = 0;
   auto last_status_publish = campaign_start;
@@ -632,7 +639,7 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
     }
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - campaign_start).count();
-    stamp_status(snap, ++status_seq, elapsed, status_total);
+    stamp_status(snap, ++status_seq, elapsed, trials.size());
     if (!options.status_path.empty()) {
       write_status_file(options.status_path, status_json(snap));
     }
@@ -757,7 +764,6 @@ CampaignReport coordinate(const std::vector<ExperimentConfig>& trials,
           // accounting in lose().
           fail_timeout(i);
           ++s.failed_here;
-          s.progress = true;
           overdue = true;
         }
       }

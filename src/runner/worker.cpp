@@ -424,7 +424,6 @@ void serve_session(int fd, const std::vector<ExperimentConfig>& trials,
         mp.trial_timeout_ms =
             cli.max_trial_ms != 0 ? cli.max_trial_ms * 2 + 5000 : 0;
         mp.status_interval_ms = cli.status_interval_ms;
-        mp.status_total = trials.size();
         mp.on_status = [&](const StatusSnapshot& snap) {
           const std::lock_guard lock{status_mutex};
           pool_status = snap;

@@ -165,9 +165,6 @@ struct MultiprocessOptions {
   std::string status_path;
   std::uint64_t status_interval_ms = 1000;
   std::function<void(const StatusSnapshot&)> on_status;
-  /// Campaign-wide trial count for snapshot totals (0 = trials.size();
-  /// a host agent running a lease sets the full campaign size).
-  std::size_t status_total = 0;
 };
 
 /// Runs the campaign across worker processes. Blocks until every trial

@@ -14,6 +14,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -81,9 +82,10 @@ ExperimentConfig real_trial(std::uint64_t seed) {
   return cfg;
 }
 
+/// "kind@i" or "kind@i,j,...": trials i, j, ... misbehave as `kind`.
 struct Scenario {
   std::string kind = "clean";
-  std::size_t index = 0;
+  std::vector<std::size_t> indices;
 };
 
 Scenario parse_scenario(const std::string& text) {
@@ -91,10 +93,15 @@ Scenario parse_scenario(const std::string& text) {
   const auto at = text.find('@');
   if (at == std::string::npos) {
     s.kind = text;
-  } else {
-    s.kind = text.substr(0, at);
-    s.index = static_cast<std::size_t>(
-        std::strtoul(text.c_str() + at + 1, nullptr, 10));
+    return s;
+  }
+  s.kind = text.substr(0, at);
+  const char* p = text.c_str() + at + 1;
+  while (true) {
+    char* end = nullptr;
+    s.indices.push_back(static_cast<std::size_t>(std::strtoul(p, &end, 10)));
+    if (*end != ',') break;
+    p = end + 1;
   }
   return s;
 }
@@ -123,7 +130,8 @@ std::function<ExperimentResult(const ExperimentConfig&)> scenario_run_trial(
         config.trace_trial >= 0
             ? static_cast<std::size_t>(config.trace_trial)
             : static_cast<std::size_t>(-1);
-    if (index == scenario.index) {
+    if (std::find(scenario.indices.begin(), scenario.indices.end(), index) !=
+        scenario.indices.end()) {
       if (scenario.kind == "segv") {
         // Leave crash evidence first, like a real sim's flush hook.
         std::vector<sim::TelemetryEvent> events(2);
@@ -721,6 +729,31 @@ TEST(MultiprocessTest, SegvTrialBecomesHardCrashWithFlightEvidence) {
   for (std::size_t i = 0; i < trials.size(); ++i) {
     if (i == 2) {
       EXPECT_FALSE(report.completed[i]);
+      continue;
+    }
+    ASSERT_TRUE(report.completed[i]) << "trial " << i;
+    expect_identical(report.results[i], reference.results[i]);
+  }
+}
+
+TEST(MultiprocessTest, SeveralSegvTrialsFailOnlyThemselves) {
+  // Each worker death charges a crash suspect, so no slot retires for
+  // running into several poison trials: only those trials fail.
+  const std::vector<std::size_t> poison = {0, 5, 8, 13};
+  const auto reference = reference_report(16, 450);
+  const auto trials = scenario_trials(16, 450);
+  const auto report =
+      run_multiprocess(trials, mp_options("segv@0,5,8,13", 16, 450, 2));
+  ASSERT_EQ(report.failures.size(), poison.size());
+  for (std::size_t k = 0; k < poison.size(); ++k) {
+    EXPECT_EQ(report.failures[k].trial_index, poison[k]);
+    EXPECT_EQ(report.failures[k].kind, FailureKind::kHardCrash);
+    EXPECT_EQ(report.failures[k].what.find("repeatedly"), std::string::npos)
+        << report.failures[k].what;
+  }
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    if (std::find(poison.begin(), poison.end(), i) != poison.end()) {
+      EXPECT_FALSE(report.completed[i]) << "trial " << i;
       continue;
     }
     ASSERT_TRUE(report.completed[i]) << "trial " << i;
