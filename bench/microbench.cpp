@@ -142,23 +142,23 @@ void BM_FourBitBeaconUnwrap(benchmark::State& state) {
 }
 BENCHMARK(BM_FourBitBeaconUnwrap);
 
-// Parent selection per snooped data frame (RoutingEngine::on_snooped_cost)
-// on a warmed engine: a full 10-entry link table plus 4 route-only
-// neighbors, 14 routes in all, with advertised costs that keep the
-// parent fixed. Both estimators frame beacons as [seq][routing payload].
-void run_route_recompute(benchmark::State& state,
-                         link::LinkEstimator& est) {
-  sim::Simulator sim;
-  net::RoutingEngine routing{sim, NodeId{100}, false, est,
-                             net::CollectionConfig{}, sim::Rng{1}};
+// Snooped data frames (RoutingEngine::on_snooped_cost) on a warmed
+// engine: a full 10-entry link table plus 4 route-only neighbors, 14
+// routes in all, with advertised costs that keep the parent fixed. Both
+// estimators frame beacons as [seq][routing payload].
+double route_cost_of(std::uint16_t n) { return 1.0 + 0.25 * n; }
+
+/// Warms `routing` over `est`; false (and the state skipped) if the
+/// warm-up did not reach the 10-link, 14-route, parent-1 shape.
+bool warm_route_engine(benchmark::State& state, link::LinkEstimator& est,
+                       net::RoutingEngine& routing) {
   routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
   routing.start();
-  const auto cost_of = [](std::uint16_t n) { return 1.0 + 0.25 * n; };
   for (std::uint8_t seq = 0; seq < 3; ++seq) {
     for (std::uint16_t n = 1; n <= 10; ++n) {
       net::RoutingBeacon b;
       b.parent = NodeId{0};
-      b.path_etx = cost_of(n);
+      b.path_etx = route_cost_of(n);
       std::vector<std::uint8_t> wire{seq};
       const auto payload = b.encode();
       wire.insert(wire.end(), payload.begin(), payload.end());
@@ -169,19 +169,36 @@ void run_route_recompute(benchmark::State& state,
     }
   }
   for (std::uint16_t n = 11; n <= 14; ++n) {
-    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+    routing.on_snooped_cost(NodeId{n}, route_cost_of(n));
   }
   if (est.neighbors().size() != 10 || routing.route_table().size() != 14 ||
       routing.parent() != NodeId{1}) {
     state.SkipWithError("warm-up did not reach 10 links, 14 routes");
-    return;
+    return false;
   }
-  std::uint16_t n = 0;
+  return true;
+}
+
+// One full parent-selection pass per iteration: table neighbor 5's
+// advertised cost alternates between two values that both keep the
+// parent, so every snoop changes a route the pass reads.
+void run_route_recompute(benchmark::State& state,
+                         link::LinkEstimator& est) {
+  sim::Simulator sim;
+  net::RoutingEngine routing{sim, NodeId{100}, false, est,
+                             net::CollectionConfig{}, sim::Rng{1}};
+  if (!warm_route_engine(state, est, routing)) return;
+  const std::uint64_t passes = routing.selection_passes();
+  bool high = false;
   for (auto _ : state) {
-    n = static_cast<std::uint16_t>(n % 14 + 1);
-    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+    high = !high;
+    routing.on_snooped_cost(NodeId{5}, route_cost_of(5) + (high ? 0.125 : 0));
   }
   benchmark::DoNotOptimize(routing.parent());
+  if (routing.selection_passes() - passes !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("an iteration skipped its selection pass");
+  }
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -198,6 +215,29 @@ void BM_RouteRecomputeLqi(benchmark::State& state) {
   run_route_recompute(state, est);
 }
 BENCHMARK(BM_RouteRecomputeLqi);
+
+// The common snoop: a neighbor (table or route-only) repeats the cost we
+// already hold, so nothing parent selection reads changes and the pass is
+// skipped. Rotates over all 14 routes on a warmed 4B engine.
+void BM_RouteSnoopUnchanged(benchmark::State& state) {
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
+  sim::Simulator sim;
+  net::RoutingEngine routing{sim, NodeId{100}, false, est,
+                             net::CollectionConfig{}, sim::Rng{1}};
+  if (!warm_route_engine(state, est, routing)) return;
+  const std::uint64_t passes = routing.selection_passes();
+  std::uint16_t n = 0;
+  for (auto _ : state) {
+    n = static_cast<std::uint16_t>(n % 14 + 1);
+    routing.on_snooped_cost(NodeId{n}, route_cost_of(n));
+  }
+  benchmark::DoNotOptimize(routing.parent());
+  if (routing.selection_passes() != passes) {
+    state.SkipWithError("an unchanged snoop ran a selection pass");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouteSnoopUnchanged);
 
 void BM_MacFrameRoundTrip(benchmark::State& state) {
   mac::MacFrame f;

@@ -58,6 +58,9 @@ std::optional<std::vector<std::uint8_t>> FourBitEstimator::unwrap_beacon(
     entry->data.window_expected = 1;
     entry->data.beacon_prr.seed(1.0);
     entry->data.etx.seed(1.0);
+    // One bump covers the whole admission: the eviction that made room
+    // (if any) and the seeded entry; nothing reads the table in between.
+    bump_version();
   }
   return payload;
 }
@@ -160,6 +163,9 @@ void FourBitEstimator::feed_etx_sample(NodeId peer, LinkState& st,
                                        double sample, bool from_data) {
   const double old_etx = st.etx.has_value() ? st.etx.value() : 0.0;
   st.etx.update(std::clamp(sample, 1.0, config_.max_etx_sample));
+  // The new value is >= 1, so a first sample always differs from 0.0. A
+  // link seeded at 1.0 and fed perfect windows stays at 1.0 exactly.
+  if (st.etx.value() != old_etx) bump_version();
   if (telemetry_ != nullptr) {
     telemetry_->emit(
         sim::EventKind::kEtxUpdate, self_, peer.value(),
@@ -258,6 +264,7 @@ bool FourBitEstimator::remove(NodeId n) {
   }
   const bool removed = table_.remove(n);
   FOURBIT_ASSERT(removed, "unpinned entry must be removable");
+  bump_version();
   if (telemetry_ != nullptr) {
     telemetry_->emit(
         sim::EventKind::kTableEvict, self_, n.value(), 0,
@@ -272,6 +279,7 @@ void FourBitEstimator::reset() {
   // see OUR seq restart, which is exactly what seq_reset_gap detects on
   // their side. seq_resets_ is harness accounting, not node state.
   table_.clear();
+  bump_version();
   beacon_seq_ = 0;
 }
 

@@ -77,6 +77,8 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
   std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
 
   Table::Entry* entry = table_.find(from);
+  const std::optional<double> etx_before =
+      entry != nullptr ? link_etx(entry->data) : std::nullopt;
   if (entry == nullptr) {
     if (try_admit(from, phy, payload)) {
       entry = table_.insert(from, LinkState{config_});
@@ -89,6 +91,8 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
       // bidirectional product still needs the neighbor's reverse report
       // before the link is usable — the in-degree limitation stands).
       entry->data.inbound_prr.seed(1.0);
+      // Covers the eviction that made room, too: nothing reads between.
+      bump_version();
     }
   } else {
     LinkState& st = entry->data;
@@ -109,6 +113,10 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
   if (entry != nullptr && reported_us) {
     entry->data.has_reverse = true;
     entry->data.reverse_prr = reported_prr;
+  }
+  // A closed inbound window or a new reverse report moves the estimate.
+  if (entry != nullptr && link_etx(entry->data) != etx_before) {
+    bump_version();
   }
   return payload;
 }
@@ -208,7 +216,10 @@ bool BroadcastEtxEstimator::remove(NodeId n) {
     }
     return false;
   }
-  return table_.remove(n);
+  const bool removed = table_.remove(n);
+  FOURBIT_ASSERT(removed, "unpinned entry must be removable");
+  bump_version();
+  return true;
 }
 
 }  // namespace fourbit::estimators

@@ -84,6 +84,7 @@ class BroadcastEtxEstimator final : public link::LinkEstimator {
   }
   void reset() override {
     table_.clear();
+    bump_version();
     beacon_seq_ = 0;
     footer_rotation_ = 0;
   }

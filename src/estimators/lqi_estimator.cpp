@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/assert.hpp"
 #include "common/byte_io.hpp"
 #include "sim/telemetry.hpp"
 
@@ -60,8 +61,13 @@ void LqiEstimator::note_lqi(NodeId from, int lqi) {
     entry = table_.insert(from, LinkState{config_});
     if (entry == nullptr) return;
   }
+  // The mapping is >= 1, so a new entry's 0.0 always differs and bumps
+  // (covering the eviction that made room). An existing entry bumps only
+  // when its estimate moves: on pristine links the mapping saturates.
+  const double old_etx = entry->data.etx;
   entry->data.lqi.update(static_cast<double>(lqi));
   entry->data.etx = lqi_to_etx(entry->data.lqi.value());
+  if (entry->data.etx != old_etx) bump_version();
 }
 
 double LqiEstimator::lqi_to_etx(double lqi) const {
@@ -112,7 +118,10 @@ bool LqiEstimator::remove(NodeId n) {
     }
     return false;
   }
-  return table_.remove(n);
+  const bool removed = table_.remove(n);
+  FOURBIT_ASSERT(removed, "unpinned entry must be removable");
+  bump_version();
+  return true;
 }
 
 }  // namespace fourbit::estimators

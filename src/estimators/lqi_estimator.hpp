@@ -77,6 +77,7 @@ class LqiEstimator final : public link::LinkEstimator {
   }
   void reset() override {
     table_.clear();
+    bump_version();
     beacon_seq_ = 0;
   }
 

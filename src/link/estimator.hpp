@@ -114,6 +114,16 @@ class LinkEstimator {
     }
   }
 
+  /// Change counter for link_estimates(). The contract: while version()
+  /// returns the same value, link_estimates() returns the same entries
+  /// in the same order, bit for bit. So a reader that remembers the
+  /// version of its last read may skip the next one while it holds.
+  /// Estimators bump it where an entry is inserted, evicted, removed or
+  /// cleared, or an entry's estimate changes — not for pins, compare
+  /// queries, or inputs that close no estimation window. Bumping more
+  /// often than that is safe, only slower; missing a change is not.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   // ---- supervision hooks (see sim::InvariantAuditor) --------------------
 
   /// Nodes whose table entries are currently pinned. Invariant audits
@@ -152,6 +162,13 @@ class LinkEstimator {
   /// pins), windows, sequence counters. Default no-op for stateless
   /// estimators and test fakes.
   virtual void reset() {}
+
+ protected:
+  /// Marks that link_estimates() may now return something different.
+  void bump_version() { ++version_; }
+
+ private:
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace fourbit::link

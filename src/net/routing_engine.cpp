@@ -58,6 +58,7 @@ void RoutingEngine::crash() {
   routes_.clear();
   parent_ = kInvalidNodeId;
   my_cost_ = is_root_ ? 0.0 : config_.max_path_etx;
+  settled_ = false;
   last_reset_ = sim::Time{};
   parent_failures_ = 0;
   // No route_lost event: Metrics::on_node_crashed (emitted by the
@@ -126,8 +127,34 @@ RoutingEngine::NeighborRoute* RoutingEngine::find_route(NodeId n) {
 }
 
 void RoutingEngine::read_link_table() {
+  // The estimator's version contract: an unchanged version means the
+  // bulk read would return exactly what estimates_ already holds.
+  const std::uint64_t version = estimator_.version();
+  if (version == estimates_version_) return;
   estimator_.link_estimates(estimates_);
   route_hint_.resize(estimates_.size());
+  estimates_version_ = version;
+}
+
+void RoutingEngine::note_route_update(NodeId n, const NeighborRoute* before,
+                                      const NeighborRoute& after) {
+  if (!settled_) return;
+  // Same parent and cost, heard again while still fresh (or the parent,
+  // which never expires): the settled pass counted this route exactly as
+  // the next one would. Re-hearing a stale route revives a candidate.
+  if (before != nullptr && before->parent == after.parent &&
+      before->path_etx == after.path_etx &&
+      (n == parent_ ||
+       sim_.now() - before->last_heard <= config_.route_expiry)) {
+    return;
+  }
+  // Routes of nodes outside the link table are never read. estimates_
+  // holds the settled pass's table unless the version has moved since,
+  // and then the next update runs a pass anyway.
+  if (std::any_of(estimates_.begin(), estimates_.end(),
+                  [n](const link::LinkEstimate& l) { return l.node == n; })) {
+    settled_ = false;
+  }
 }
 
 const RoutingEngine::NeighborRoute* RoutingEngine::entry_route(
@@ -174,7 +201,9 @@ void RoutingEngine::on_beacon(NodeId from,
   const auto beacon = RoutingBeacon::decode(payload);
   if (!beacon.has_value()) return;
   const NeighborRoute heard{beacon->parent, beacon->path_etx, sim_.now()};
-  if (NeighborRoute* r = find_route(from)) {
+  NeighborRoute* r = find_route(from);
+  note_route_update(from, r, heard);
+  if (r != nullptr) {
     *r = heard;
   } else {
     routes_.push_back(RouteEntry{from, heard});
@@ -188,8 +217,9 @@ void RoutingEngine::on_beacon(NodeId from,
 
   // Drop route state for nodes the estimator no longer tracks; the route
   // table must not grow past the link table (the layer-agreement failure
-  // the paper cites from the Potatoes deployment). Nothing below changes
-  // the estimator, so parent selection reuses this read.
+  // the paper cites from the Potatoes deployment). The routes it erases
+  // belong to nodes outside the link table, which parent selection never
+  // reads.
   read_link_table();
   if (routes_.size() > estimates_.size() + 4) {
     std::erase_if(routes_, [&](const RouteEntry& r) {
@@ -199,24 +229,34 @@ void RoutingEngine::on_beacon(NodeId from,
     });
   }
 
-  update_route(/*estimates_fresh=*/true);
+  update_route();
 }
 
 void RoutingEngine::on_snooped_cost(NodeId from, double path_etx) {
-  if (NeighborRoute* r = find_route(from)) {
-    // Refresh the cost and the staleness clock; the advertised parent is
-    // whatever the last beacon said.
-    r->path_etx = path_etx;
-    r->last_heard = sim_.now();
+  NeighborRoute* r = find_route(from);
+  // Refresh the cost and the staleness clock; the advertised parent is
+  // whatever the last beacon said.
+  const NeighborRoute heard{r != nullptr ? r->parent : kInvalidNodeId,
+                            path_etx, sim_.now()};
+  note_route_update(from, r, heard);
+  if (r != nullptr) {
+    *r = heard;
   } else {
-    routes_.push_back(
-        RouteEntry{from, NeighborRoute{kInvalidNodeId, path_etx, sim_.now()}});
+    routes_.push_back(RouteEntry{from, heard});
   }
   update_route();
 }
 
-void RoutingEngine::update_route(bool estimates_fresh) {
-  recompute_route(estimates_fresh);
+void RoutingEngine::update_route() {
+  // A pass is a deterministic function of the link table, the routes of
+  // the table's nodes, the parent and the clock; run again on unchanged
+  // inputs it changes nothing. The clock only expires candidates, and a
+  // settled pass kept its parent with every candidate it had, so it keeps
+  // it with fewer. So while the last pass settled and neither the table
+  // nor a route it reads has moved, the pass is skipped.
+  if (!settled_ || estimator_.version() != settled_version_) {
+    recompute_route();
+  }
   note_route_state();
 }
 
@@ -232,13 +272,15 @@ void RoutingEngine::note_route_state() {
   }
 }
 
-void RoutingEngine::recompute_route(bool estimates_fresh) {
+void RoutingEngine::recompute_route() {
   if (is_root_ || !started_) return;
+  ++selection_passes_;
+  settled_ = false;
 
   // One pass over the link table, in table order: the first strictly
   // cheapest candidate wins, and the current parent's cost comes from the
   // same pass (nullopt when the parent has left the table).
-  if (!estimates_fresh) read_link_table();
+  read_link_table();
   NodeId best = kInvalidNodeId;
   double best_cost = config_.max_path_etx;
   std::optional<double> current_cost;
@@ -251,6 +293,12 @@ void RoutingEngine::recompute_route(bool estimates_fresh) {
       best = node;
     }
   }
+  // The pass kept its parent and touched no timer: until an input moves,
+  // another pass would leave everything as it is.
+  const auto settle = [this] {
+    settled_ = true;
+    settled_version_ = estimates_version_;
+  };
 
   if (best == kInvalidNodeId) {
     // No usable candidate at all. Keep the (possibly broken) parent and
@@ -258,7 +306,9 @@ void RoutingEngine::recompute_route(bool estimates_fresh) {
     if (!current_cost.has_value() && parent_ != kInvalidNodeId) {
       my_cost_ = config_.max_path_etx;
       reset_beacon_interval();
+      return;
     }
+    settle();
     return;
   }
 
@@ -295,6 +345,7 @@ void RoutingEngine::recompute_route(bool estimates_fresh) {
   // Same parent: track its (possibly changed) cost. Ordinary estimate
   // drift does not reset the beacon timer — only topology events do.
   my_cost_ = current_cost.has_value() ? *current_cost : config_.max_path_etx;
+  settle();
 }
 
 void RoutingEngine::on_delivery_failure(NodeId to) {
@@ -347,6 +398,7 @@ void RoutingEngine::evict_parent() {
   parent_ = kInvalidNodeId;
   my_cost_ = config_.max_path_etx;
   parent_failures_ = 0;
+  settled_ = false;  // the parent and its route are gone
   update_route();  // an immediate alternative ends the outage right here
 }
 

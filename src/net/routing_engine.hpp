@@ -6,6 +6,15 @@
 // beacons on a Trickle timer. It is also the network-layer half of two of
 // the paper's four bits: it PINS the current parent's table entry and
 // answers the estimator's COMPARE-bit queries from its route table.
+//
+// Every routing input (beacon, snooped frame, delivery failure, loop
+// signal, route timer) asks for parent selection, but a selection pass
+// runs only when something it reads has changed since the last pass that
+// settled (kept its parent without resetting Trickle): the estimator's
+// version(), the parent, or the route of a link-table node beyond a fresh
+// re-hearing of the same parent and cost. Skipping is exact: a pass on
+// unchanged inputs would leave every piece of state as it is, and time
+// alone only expires candidates, which cannot unsettle a kept parent.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +116,11 @@ class RoutingEngine final : public link::CompareProvider {
     return parent_changes_;
   }
   [[nodiscard]] std::uint64_t beacons_sent() const { return beacons_sent_; }
+  /// Parent-selection passes actually run; inputs whose pass was skipped
+  /// (nothing it reads had changed) do not count.
+  [[nodiscard]] std::uint64_t selection_passes() const {
+    return selection_passes_;
+  }
   [[nodiscard]] std::uint64_t parent_evictions() const {
     return parent_evictions_;
   }
@@ -119,11 +133,16 @@ class RoutingEngine final : public link::CompareProvider {
       NodeId candidate, std::span<const std::uint8_t> payload) override;
 
  private:
-  /// `estimates_fresh`: estimates_ already holds this input's read of
-  /// the link table (the beacon handler reads it for its trim).
-  void update_route(bool estimates_fresh = false);
-  void recompute_route(bool estimates_fresh);
+  /// Runs a selection pass unless the last one settled and nothing it
+  /// reads has changed since; then reports route availability.
+  void update_route();
+  void recompute_route();
+  /// Brings estimates_ up to the estimator's version (no read if current).
   void read_link_table();
+  /// `n`'s route goes from `before` (null: none held) to `after`: clears
+  /// settled_ if the next pass could read the difference.
+  void note_route_update(NodeId n, const NeighborRoute* before,
+                         const NeighborRoute& after);
   void note_route_state();
   void evict_parent();
   void send_beacon();
@@ -148,15 +167,24 @@ class RoutingEngine final : public link::CompareProvider {
   BeaconSender beacon_sender_;
 
   std::vector<RouteEntry> routes_;
-  // Scratch for LinkEstimator::link_estimates: one bulk read of the link
-  // table per routing input, reusing this buffer's capacity.
+  // The last bulk read of the link table (LinkEstimator::link_estimates),
+  // reusing this buffer's capacity, and the estimator version it holds;
+  // it is read again only once the version moves.
   std::vector<link::LinkEstimate> estimates_;
+  std::uint64_t estimates_version_ = ~std::uint64_t{0};  // none read yet
   // route_hint_[k]: where in routes_ the route of estimates_[k] was last
   // found. Only trusted after checking the node there, so a hint left
   // stale by an erase or a table reorder costs one search, nothing more.
   std::vector<std::uint32_t> route_hint_;
   NodeId parent_ = kInvalidNodeId;
   double my_cost_;  // cached advertised cost
+
+  // Skip state for update_route: the last pass settled, at this
+  // estimator version. Route changes the pass would read, parent
+  // evictions and crashes clear it.
+  bool settled_ = false;
+  std::uint64_t settled_version_ = 0;
+  std::uint64_t selection_passes_ = 0;
 
   TrickleTimer trickle_;       // adaptive beaconing (BeaconTiming::kTrickle)
   sim::Timer fixed_timer_;     // fixed-interval beaconing (kFixed)

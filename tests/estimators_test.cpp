@@ -294,6 +294,21 @@ void expect_bulk_read_matches(const link::LinkEstimator& est) {
 using MakeEstimator =
     std::function<std::unique_ptr<link::LinkEstimator>(NodeId)>;
 
+/// The input drive_and_check fed node 0's estimator on one step.
+enum class Input {
+  kNone,  // a lost beacon, or a reboot that was not drawn
+  kBeacon,
+  kOwnBeaconHeard,  // node 0's beacon reached a peer (input to the peer)
+  kUnicastResult,
+  kDataRx,
+  kPin,
+  kUnpin,
+  kClearPins,
+  kRemove,
+  kReset,
+};
+using ExtraCheck = std::function<void(const link::LinkEstimator&, Input)>;
+
 /// Drives node 0's estimator through a seeded random mix of every input
 /// the stack feeds it — beacons from 30 peers (some lost, white and LQI
 /// varied), node 0's own beacons reaching peers (so probe estimators get
@@ -301,8 +316,7 @@ using MakeEstimator =
 /// removals and the occasional reboot — checking the bulk read after
 /// every step. `extra` adds per-estimator checks.
 void drive_and_check(const MakeEstimator& make,
-                     const std::function<void(const link::LinkEstimator&)>&
-                         extra = nullptr) {
+                     const ExtraCheck& extra = nullptr) {
   constexpr std::uint16_t kPeers = 30;
   auto self = make(NodeId{0});
   std::vector<std::unique_ptr<link::LinkEstimator>> peers;
@@ -319,29 +333,41 @@ void drive_and_check(const MakeEstimator& make,
         .white = rng.bernoulli(0.7),
         .lqi = 50 + static_cast<int>(rng.uniform_int(61))};
     const auto op = rng.uniform_int(100);
+    Input input = Input::kNone;
     if (op < 45) {
       const auto wire = peers[p]->wrap_beacon(payload);
-      if (rng.bernoulli(0.8)) (void)self->unwrap_beacon(peer, wire, phy);
+      if (rng.bernoulli(0.8)) {
+        (void)self->unwrap_beacon(peer, wire, phy);
+        input = Input::kBeacon;
+      }
     } else if (op < 60) {
       (void)peers[p]->unwrap_beacon(NodeId{0}, self->wrap_beacon(payload),
                                     phy);
+      input = Input::kOwnBeaconHeard;
     } else if (op < 75) {
       self->on_unicast_result(peer, rng.bernoulli(0.6));
+      input = Input::kUnicastResult;
     } else if (op < 82) {
       self->on_data_rx(peer, phy);
+      input = Input::kDataRx;
     } else if (op < 88) {
       (void)self->pin(peer);
+      input = Input::kPin;
     } else if (op < 93) {
       self->unpin(peer);
+      input = Input::kUnpin;
     } else if (op < 94) {
       self->clear_pins();
+      input = Input::kClearPins;
     } else if (op < 99) {
       (void)self->remove(peer);
+      input = Input::kRemove;
     } else if (rng.bernoulli(0.2)) {
       self->reset();
+      input = Input::kReset;
     }
     expect_bulk_read_matches(*self);
-    if (extra) extra(*self);
+    if (extra) extra(*self, input);
     if (::testing::Test::HasFatalFailure()) {
       FAIL() << "after step " << step << " (op " << op << ")";
     }
@@ -364,7 +390,7 @@ TEST(LinkEstimatesTest, BroadcastEtxBulkReadMatchesPointQueries) {
         return std::make_unique<BroadcastEtxEstimator>(id, cfg,
                                                        sim::Rng{id.value()});
       },
-      [&usable](const link::LinkEstimator& est) {
+      [&usable](const link::LinkEstimator& est, Input) {
         std::vector<link::LinkEstimate> bulk;
         est.link_estimates(bulk);
         usable += static_cast<std::size_t>(std::count_if(
@@ -383,7 +409,7 @@ TEST(LinkEstimatesTest, LqiBulkReadMatchesPointQueriesAndStoredMapping) {
       [cfg](NodeId id) {
         return std::make_unique<LqiEstimator>(cfg, sim::Rng{id.value()});
       },
-      [](const link::LinkEstimator& est) {
+      [](const link::LinkEstimator& est, Input) {
         // The stored estimate is exactly the mapping of the stored
         // smoothed LQI: caching it changed no bit.
         const auto& lqi = static_cast<const LqiEstimator&>(est);
@@ -397,6 +423,83 @@ TEST(LinkEstimatesTest, LqiBulkReadMatchesPointQueriesAndStoredMapping) {
               << "node " << n.value();
         }
       });
+}
+
+// ---- the version contract ---------------------------------------------------
+
+/// Checks LinkEstimator::version() after every drive_and_check step: while
+/// it stays put, link_estimates() must return the previous read bit for
+/// bit, and pins must never move it. Counts the steps on each side, so a
+/// test can tell the estimator neither bumps on every input nor never.
+class VersionWatch {
+ public:
+  void operator()(const link::LinkEstimator& est, Input input) {
+    std::vector<link::LinkEstimate> now;
+    est.link_estimates(now);
+    if (est.version() == version_) {
+      ++held_;
+      ASSERT_EQ(now.size(), last_.size()) << "table changed, same version";
+      for (std::size_t i = 0; i < now.size(); ++i) {
+        ASSERT_EQ(now[i].node, last_[i].node) << "entry " << i;
+        ASSERT_EQ(now[i].has_etx, last_[i].has_etx) << "entry " << i;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(now[i].etx),
+                  std::bit_cast<std::uint64_t>(last_[i].etx))
+            << "entry " << i;
+      }
+    } else {
+      ++moved_;
+      ASSERT_TRUE(input != Input::kPin && input != Input::kUnpin &&
+                  input != Input::kClearPins)
+          << "a pin moved the version";
+    }
+    version_ = est.version();
+    last_ = std::move(now);
+  }
+
+  [[nodiscard]] std::size_t held() const { return held_; }
+  [[nodiscard]] std::size_t moved() const { return moved_; }
+
+ private:
+  // A new estimator holds an empty table at version 0.
+  std::uint64_t version_ = 0;
+  std::vector<link::LinkEstimate> last_;
+  std::size_t held_ = 0;
+  std::size_t moved_ = 0;
+};
+
+/// Runs the watch over drive_and_check's 5,000 steps; both sides of the
+/// contract must come up often.
+void expect_version_contract(const MakeEstimator& make) {
+  VersionWatch watch;
+  drive_and_check(make, [&watch](const link::LinkEstimator& est, Input in) {
+    watch(est, in);
+  });
+  EXPECT_GT(watch.held(), 1000u);
+  EXPECT_GT(watch.moved(), 200u);
+}
+
+TEST(EstimatorVersionTest, FourBitBulkReadHoldsWhileVersionHolds) {
+  expect_version_contract([](NodeId id) {
+    return std::make_unique<core::FourBitEstimator>(core::FourBitConfig{},
+                                                    sim::Rng{id.value()});
+  });
+}
+
+TEST(EstimatorVersionTest, BroadcastEtxBulkReadHoldsWhileVersionHolds) {
+  expect_version_contract([](NodeId id) {
+    BroadcastEtxConfig cfg;
+    cfg.insertion = core::InsertionPolicy::kWhiteCompare;
+    return std::make_unique<BroadcastEtxEstimator>(id, cfg,
+                                                   sim::Rng{id.value()});
+  });
+}
+
+TEST(EstimatorVersionTest, LqiBulkReadHoldsWhileVersionHolds) {
+  LqiEstimatorConfig cfg;
+  cfg.table_capacity = 10;
+  expect_version_contract([cfg](NodeId id) {
+    return std::make_unique<LqiEstimator>(cfg, sim::Rng{id.value()});
+  });
 }
 
 }  // namespace

@@ -157,9 +157,20 @@ TEST(DupCacheTest, EvictsOldestAtCapacity) {
 // ---- fakes -----------------------------------------------------------------------
 
 /// Scripted estimator: ETX per neighbor set by the test; records pins and
-/// ack-bit reports.
+/// ack-bit reports. Table writes go through set_etx/drop, which bump the
+/// version as a real estimator does, so the routing engine sees them.
 class FakeEstimator final : public link::LinkEstimator {
  public:
+  void set_etx(NodeId n, double etx) {
+    etx_map_[n] = etx;
+    bump_version();
+  }
+  void drop(NodeId n) {
+    etx_map_.erase(n);
+    bump_version();
+  }
+  [[nodiscard]] bool tracks(NodeId n) const { return etx_map_.contains(n); }
+
   std::vector<std::uint8_t> wrap_beacon(
       std::span<const std::uint8_t> p) override {
     return {p.begin(), p.end()};
@@ -173,35 +184,37 @@ class FakeEstimator final : public link::LinkEstimator {
     ack_reports.emplace_back(to, acked);
   }
   bool pin(NodeId n) override {
-    if (!etx_map.contains(n)) return false;
+    if (!tracks(n)) return false;
     pinned.insert(n);
     return true;
   }
   void unpin(NodeId n) override { pinned.erase(n); }
   void clear_pins() override { pinned.clear(); }
   std::optional<double> etx(NodeId n) const override {
-    const auto it = etx_map.find(n);
-    if (it == etx_map.end()) return std::nullopt;
+    const auto it = etx_map_.find(n);
+    if (it == etx_map_.end()) return std::nullopt;
     return it->second;
   }
   std::vector<NodeId> neighbors() const override {
     std::vector<NodeId> out;
-    for (const auto& [n, e] : etx_map) out.push_back(n);
+    for (const auto& [n, e] : etx_map_) out.push_back(n);
     return out;
   }
   bool remove(NodeId n) override {
     if (pinned.contains(n)) return false;  // real tables refuse pinned
-    etx_map.erase(n);
+    drop(n);
     return true;
   }
   void set_compare_provider(link::CompareProvider* p) override {
     compare = p;
   }
 
-  std::map<NodeId, double> etx_map;
   std::set<NodeId> pinned;
   std::vector<std::pair<NodeId, bool>> ack_reports;
   link::CompareProvider* compare = nullptr;
+
+ private:
+  std::map<NodeId, double> etx_map_;
 };
 
 std::vector<std::uint8_t> beacon_from(NodeId parent, double cost,
@@ -239,8 +252,8 @@ TEST_F(RoutingFixture, NoRouteInitially) {
 }
 
 TEST_F(RoutingFixture, AdoptsBestCostParent) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
-  estimator_.etx_map[NodeId{2}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
+  estimator_.set_etx(NodeId{2}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 2.0));
   routing_.on_beacon(NodeId{2}, beacon_from(NodeId{99}, 0.5));
   EXPECT_TRUE(routing_.has_route());
@@ -249,11 +262,11 @@ TEST_F(RoutingFixture, AdoptsBestCostParent) {
 }
 
 TEST_F(RoutingFixture, PinsCurrentParent) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 2.0));
   EXPECT_TRUE(estimator_.pinned.contains(NodeId{1}));
   // A far better parent appears (beats hysteresis): pin moves.
-  estimator_.etx_map[NodeId{2}] = 1.0;
+  estimator_.set_etx(NodeId{2}, 1.0);
   routing_.on_beacon(NodeId{2}, beacon_from(NodeId{99}, 0.0));
   EXPECT_EQ(routing_.parent(), NodeId{2});
   EXPECT_TRUE(estimator_.pinned.contains(NodeId{2}));
@@ -261,8 +274,8 @@ TEST_F(RoutingFixture, PinsCurrentParent) {
 }
 
 TEST_F(RoutingFixture, HysteresisKeepsCurrentParent) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
-  estimator_.etx_map[NodeId{2}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
+  estimator_.set_etx(NodeId{2}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 2.0));
   ASSERT_EQ(routing_.parent(), NodeId{1});
   // Candidate is better, but not by the switch threshold.
@@ -274,13 +287,13 @@ TEST_F(RoutingFixture, HysteresisKeepsCurrentParent) {
 }
 
 TEST_F(RoutingFixture, IgnoresNeighborRoutingThroughUs) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{10}, 1.0));  // child!
   EXPECT_FALSE(routing_.has_route());
 }
 
 TEST_F(RoutingFixture, IgnoresRoutelessNeighbors) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1},
                      beacon_from(NodeId{99}, CollectionConfig{}.max_path_etx));
   EXPECT_FALSE(routing_.has_route());
@@ -308,7 +321,7 @@ TEST_F(RoutingFixture, BeaconsCarryCostAndPull) {
   ASSERT_TRUE(b.has_value());
   EXPECT_TRUE(b->pull) << "routeless nodes must set the pull bit";
 
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   sent_beacons_.clear();
   sim_.run_for(sim::Duration::from_seconds(10.0));
@@ -320,7 +333,7 @@ TEST_F(RoutingFixture, BeaconsCarryCostAndPull) {
 }
 
 TEST_F(RoutingFixture, TrickleSlowsWhenStable) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   sim_.run_for(sim::Duration::from_seconds(60.0));
   const auto early = sent_beacons_.size();
@@ -330,30 +343,30 @@ TEST_F(RoutingFixture, TrickleSlowsWhenStable) {
 }
 
 TEST_F(RoutingFixture, CompareBitTrueForBetterRoute) {
-  estimator_.etx_map[NodeId{1}] = 2.0;
+  estimator_.set_etx(NodeId{1}, 2.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 3.0));  // worst = 5
   EXPECT_TRUE(routing_.compare_bit(NodeId{7}, beacon_from(NodeId{99}, 1.0)));
   EXPECT_FALSE(routing_.compare_bit(NodeId{7}, beacon_from(NodeId{99}, 9.0)));
 }
 
 TEST_F(RoutingFixture, CompareBitFalseForRoutelessCandidate) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   EXPECT_FALSE(routing_.compare_bit(
       NodeId{7}, beacon_from(NodeId{99}, CollectionConfig{}.max_path_etx)));
 }
 
 TEST_F(RoutingFixture, CompareBitFalseForOurChild) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   EXPECT_FALSE(routing_.compare_bit(NodeId{7}, beacon_from(NodeId{10}, 0.5)));
 }
 
 TEST_F(RoutingFixture, CompareBitTrueWhenTableMostlyUseless) {
   // Estimator tracks nodes the routing layer knows nothing about.
-  estimator_.etx_map[NodeId{1}] = 1.0;
-  estimator_.etx_map[NodeId{2}] = 1.0;
-  estimator_.etx_map[NodeId{3}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
+  estimator_.set_etx(NodeId{2}, 1.0);
+  estimator_.set_etx(NodeId{3}, 1.0);
   EXPECT_TRUE(routing_.compare_bit(NodeId{7}, beacon_from(NodeId{99}, 5.0)));
 }
 
@@ -363,22 +376,22 @@ TEST_F(RoutingFixture, CompareBitFalseOnMalformedPayload) {
 }
 
 TEST_F(RoutingFixture, StaleCandidateRoutesExpire) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
-  estimator_.etx_map[NodeId{2}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
+  estimator_.set_etx(NodeId{2}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   ASSERT_EQ(routing_.parent(), NodeId{1});
   routing_.on_beacon(NodeId{2}, beacon_from(NodeId{99}, 1.2));
   // Let node 2's advertisement go stale, then break the parent.
   sim_.run_for(CollectionConfig{}.route_expiry +
                sim::Duration::from_seconds(5.0));
-  estimator_.etx_map.erase(NodeId{1});
+  estimator_.drop(NodeId{1});
   routing_.on_delivery_failure(NodeId{1});
   // Node 2's route info is stale -> not used; no route remains.
   EXPECT_FALSE(routing_.has_route());
 }
 
 TEST_F(RoutingFixture, ParentExemptFromExpiry) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
   ASSERT_TRUE(routing_.has_route());
   sim_.run_for(CollectionConfig{}.route_expiry +
@@ -387,11 +400,33 @@ TEST_F(RoutingFixture, ParentExemptFromExpiry) {
       << "the current parent must not expire from silence alone";
 }
 
+TEST_F(RoutingFixture, RouteTimerPassesOnlyWhileUnsettled) {
+  estimator_.set_etx(NodeId{1}, 1.0);
+  routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 1.0));
+  ASSERT_EQ(routing_.parent(), NodeId{1});
+  const auto ticks = [this](int n) {
+    const std::uint64_t before = routing_.selection_passes();
+    sim_.run_for(CollectionConfig{}.route_update_interval * n);
+    return routing_.selection_passes() - before;
+  };
+  // Adopting the parent was a switch, so the next input runs one more
+  // pass, which settles. After that, ticks change nothing a pass reads.
+  EXPECT_EQ(ticks(1), 1u);
+  EXPECT_EQ(ticks(10), 0u);
+  // The parent now routes through us and nothing else is usable: each
+  // pass lands in the branch that resets Trickle, which never settles,
+  // so every tick keeps searching for a way out.
+  routing_.on_beacon(NodeId{1}, beacon_from(NodeId{10}, 1.0));
+  ASSERT_EQ(routing_.parent(), NodeId{1});
+  ASSERT_FALSE(routing_.has_route());
+  EXPECT_EQ(ticks(10), 10u);
+}
+
 // ---- dead-parent eviction ------------------------------------------------
 
 TEST_F(RoutingFixture, DeadPinnedParentEvictedAfterFailureStreak) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
-  estimator_.etx_map[NodeId{2}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
+  estimator_.set_etx(NodeId{2}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   routing_.on_beacon(NodeId{2}, beacon_from(NodeId{99}, 0.5));
   ASSERT_EQ(routing_.parent(), NodeId{1});
@@ -405,13 +440,13 @@ TEST_F(RoutingFixture, DeadPinnedParentEvictedAfterFailureStreak) {
   EXPECT_EQ(routing_.parent_evictions(), 1u);
   EXPECT_FALSE(estimator_.pinned.contains(NodeId{1}))
       << "the pin must not outlive the eviction";
-  EXPECT_FALSE(estimator_.etx_map.contains(NodeId{1}));
+  EXPECT_FALSE(estimator_.tracks(NodeId{1}));
   EXPECT_EQ(routing_.parent(), NodeId{2})
       << "the next-best candidate takes over";
 }
 
 TEST_F(RoutingFixture, DeliverySuccessResetsFailureStreak) {
-  estimator_.etx_map[NodeId{1}] = 1.0;
+  estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   ASSERT_EQ(routing_.parent(), NodeId{1});
   const int evict_after = CollectionConfig{}.parent_evict_failures;
@@ -433,7 +468,7 @@ TEST(RoutingEvictionTest, EvictionUnpinsCountsRefusalAndReportsLoss) {
                         CollectionConfig{}, sim::Rng{1}, &metrics};
   routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
   routing.start();
-  est.etx_map[NodeId{1}] = 1.0;
+  est.set_etx(NodeId{1}, 1.0);
   routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   ASSERT_TRUE(est.pinned.contains(NodeId{1}));
 
@@ -443,7 +478,7 @@ TEST(RoutingEvictionTest, EvictionUnpinsCountsRefusalAndReportsLoss) {
   // The pinned entry refused removal once, was unpinned, then removed.
   EXPECT_EQ(metrics.pin_refusals(), 1u);
   EXPECT_FALSE(est.pinned.contains(NodeId{1}));
-  EXPECT_FALSE(est.etx_map.contains(NodeId{1}));
+  EXPECT_FALSE(est.tracks(NodeId{1}));
   // Sole candidate gone: the node is routeless, and says so.
   EXPECT_FALSE(routing.has_route());
   EXPECT_EQ(metrics.route_losses(), 1u);
@@ -459,7 +494,7 @@ TEST(RoutingEvictionTest, EvictionDisabledKeepsDeadParent) {
   RoutingEngine routing{sim, NodeId{10}, false, est, config, sim::Rng{1}};
   routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
   routing.start();
-  est.etx_map[NodeId{1}] = 1.0;
+  est.set_etx(NodeId{1}, 1.0);
   routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   for (int i = 0; i < 20; ++i) routing.on_delivery_failure(NodeId{1});
   EXPECT_EQ(routing.parent_evictions(), 0u);
@@ -467,21 +502,18 @@ TEST(RoutingEvictionTest, EvictionDisabledKeepsDeadParent) {
   EXPECT_TRUE(est.pinned.contains(NodeId{1}));
 }
 
-TEST(RoutingAllocationTest, SteadyStateRoutingInputsAllocateNothing) {
-  // A real 4B estimator with a full 10-entry table plus 4 route-only
-  // neighbors: parent selection on every snooped frame (and the compare
-  // bit) must run without touching the heap once warmed.
-  sim::Simulator sim;
-  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{5}};
-  RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
-                        sim::Rng{1}};
+double ten_link_cost(std::uint16_t n) { return 1.0 + 0.5 * n; }
+
+/// Warms `routing` over a real 4B estimator to a full 10-entry link table
+/// plus 4 route-only neighbors (14 routes), with parent 1. Node n
+/// advertises ten_link_cost(n).
+void warm_ten_links(core::FourBitEstimator& est, RoutingEngine& routing) {
   routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
   routing.start();
-  const auto cost_of = [](std::uint16_t n) { return 1.0 + 0.5 * n; };
   for (std::uint8_t seq = 0; seq < 3; ++seq) {
     for (std::uint16_t n = 1; n <= 10; ++n) {
       std::vector<std::uint8_t> wire{seq};
-      const auto routing_payload = beacon_from(NodeId{99}, cost_of(n));
+      const auto routing_payload = beacon_from(NodeId{99}, ten_link_cost(n));
       wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
       const auto payload = est.unwrap_beacon(
           NodeId{n}, wire, link::PacketPhyInfo{.white = true});
@@ -490,18 +522,35 @@ TEST(RoutingAllocationTest, SteadyStateRoutingInputsAllocateNothing) {
     }
   }
   for (std::uint16_t n = 11; n <= 14; ++n) {
-    routing.on_snooped_cost(NodeId{n}, cost_of(n));
+    routing.on_snooped_cost(NodeId{n}, ten_link_cost(n));
   }
   ASSERT_EQ(est.table_size(), 10u);
   ASSERT_EQ(routing.route_table().size(), 14u);
   ASSERT_EQ(routing.parent(), NodeId{1});
+}
+
+TEST(RoutingAllocationTest, SteadyStateRoutingInputsAllocateNothing) {
+  // A real 4B estimator with a full 10-entry table plus 4 route-only
+  // neighbors: snooped frames (full selection passes and skipped ones)
+  // and the compare bit must run without touching the heap once warmed.
+  sim::Simulator sim;
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{5}};
+  RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
+                        sim::Rng{1}};
+  warm_ten_links(est, routing);
+  if (HasFatalFailure()) return;
   const std::uint64_t changes = routing.parent_changes();
+  const std::uint64_t passes = routing.selection_passes();
   const auto candidate = beacon_from(NodeId{99}, 2.0);
 
   AllocationCounter counter;
   for (int round = 0; round < 50; ++round) {
     for (std::uint16_t n = 1; n <= 14; ++n) {
-      routing.on_snooped_cost(NodeId{n}, cost_of(n));
+      // Node 5's advertised cost alternates between two values that keep
+      // the parent, so its snoop runs a full pass; every other snoop
+      // repeats a known cost and is skipped.
+      const double extra = (n == 5 && round % 2 == 0) ? 0.25 : 0.0;
+      routing.on_snooped_cost(NodeId{n}, ten_link_cost(n) + extra);
     }
     (void)routing.compare_bit(NodeId{20}, candidate);
   }
@@ -510,6 +559,34 @@ TEST(RoutingAllocationTest, SteadyStateRoutingInputsAllocateNothing) {
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(routing.parent(), NodeId{1});
   EXPECT_EQ(routing.parent_changes(), changes);
+  EXPECT_EQ(routing.selection_passes() - passes, 50u)
+      << "one full pass per round (node 5), every other snoop skipped";
+}
+
+TEST(RoutingSkipTest, UnchangedSnoopsRunNoPass) {
+  // 50 rounds of snoops that repeat every neighbor's known cost, plus a
+  // compare-bit query per round, on a warmed engine: nothing parent
+  // selection reads changes, so no pass runs.
+  sim::Simulator sim;
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{5}};
+  RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
+                        sim::Rng{1}};
+  warm_ten_links(est, routing);
+  if (HasFatalFailure()) return;
+  const std::uint64_t passes = routing.selection_passes();
+  const double cost = routing.path_etx();
+  for (int round = 0; round < 50; ++round) {
+    for (std::uint16_t n = 1; n <= 14; ++n) {
+      routing.on_snooped_cost(NodeId{n}, ten_link_cost(n));
+    }
+    (void)routing.compare_bit(NodeId{20}, beacon_from(NodeId{99}, 2.0));
+  }
+  EXPECT_EQ(routing.selection_passes(), passes);
+  EXPECT_EQ(routing.parent(), NodeId{1});
+  EXPECT_EQ(routing.path_etx(), cost);
+  // A new cost from a table neighbor is read: it runs a pass.
+  routing.on_snooped_cost(NodeId{3}, ten_link_cost(3) + 1.0);
+  EXPECT_EQ(routing.selection_passes(), passes + 1);
 }
 
 TEST(RoutingAllocationTest, RandomTableEvictionAllocatesNothing) {
@@ -715,6 +792,149 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
   EXPECT_GT(crashes, 0u);
 }
 
+TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
+  // Parent selection skips its pass while nothing it reads has changed.
+  // This seeded run leans on the inputs that skip: snoops from nodes
+  // outside the link table, clean re-snoops of table nodes, beacons that
+  // repeat a held cost (some now naming us as parent), route-timer ticks,
+  // and time steps that land exactly on a candidate's last_heard +
+  // route_expiry (still fresh) and 1 us past it (stale), each followed by
+  // an input that asks for selection. Beacons, new costs, acks,
+  // evictions, removals and crashes keep moving the inputs. After every
+  // step the engine must hold what a full evaluation gives.
+  sim::Simulator sim;
+  core::FourBitConfig fb;
+  fb.table_capacity = 6;
+  core::FourBitEstimator est{fb, sim::Rng{41}};
+  const NodeId self{10};
+  const CollectionConfig config;
+  RoutingEngine routing{sim, self, false, est, config, sim::Rng{42}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  sim::Time timer_origin = sim.now();  // the route timer's phase
+  const RouteOracle oracle{sim, routing, est, self, config};
+
+  sim::Rng rng{43};
+  std::vector<std::uint8_t> seq(21, 0);
+  const auto peer = [&] {
+    return NodeId{static_cast<std::uint16_t>(1 + rng.uniform_int(20))};
+  };
+  const auto cost = [&] { return rng.uniform(0.0, 6.0); };
+  // Nodes 60..69 never beacon, so they never enter the link table.
+  const auto outside_snoop = [&] {
+    routing.on_snooped_cost(
+        NodeId{static_cast<std::uint16_t>(60 + rng.uniform_int(10))}, cost());
+  };
+  std::uint64_t evaluations = 0;
+  std::size_t edges = 0;
+  const auto check = [&](int step) {
+    ++evaluations;
+    const auto [parent, path_etx] = oracle.settled();
+    ASSERT_EQ(routing.parent(), parent) << "step " << step;
+    ASSERT_EQ(routing.path_etx(), path_etx) << "step " << step;
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    sim.run_for(sim::Duration::from_seconds(rng.uniform(0.0, 3.0)));
+    const std::uint64_t op = rng.uniform_int(100);
+    if (op < 20) {
+      const NodeId from =
+          rng.bernoulli(0.25) && routing.parent() != kInvalidNodeId
+              ? routing.parent()
+              : peer();
+      seq[from.value()] += rng.bernoulli(0.8) ? 1 : 2;
+      const NodeId advertised_parent = rng.bernoulli(0.1) ? self : NodeId{99};
+      double advertised = rng.bernoulli(0.05) ? config.max_path_etx : cost();
+      if (const auto* held = routing.route(from);
+          held != nullptr && rng.bernoulli(0.4)) {
+        advertised = held->path_etx;
+      }
+      std::vector<std::uint8_t> wire{seq[from.value()]};
+      const auto routing_payload = beacon_from(advertised_parent, advertised);
+      wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
+      const auto payload = est.unwrap_beacon(
+          from, wire, link::PacketPhyInfo{.white = rng.bernoulli(0.7)});
+      if (!payload.has_value()) continue;
+      routing.on_beacon(from, *payload);
+    } else if (op < 32) {
+      routing.on_snooped_cost(peer(), cost());
+    } else if (op < 50) {
+      // Clean re-snoop: a table node repeats the cost we hold for it.
+      const auto table = est.neighbors();
+      if (table.empty()) continue;
+      const NodeId n = table[rng.uniform_int(table.size())];
+      const RoutingEngine::NeighborRoute* r = routing.route(n);
+      if (r == nullptr) continue;
+      routing.on_snooped_cost(n, r->path_etx);
+    } else if (op < 65) {
+      outside_snoop();
+    } else if (op < 73) {
+      // Run to the route timer's next tick; the tick is the evaluation.
+      const std::int64_t period = config.route_update_interval.us();
+      const std::int64_t since = sim.now().us() - timer_origin.us();
+      const std::int64_t next = (since / period + 1) * period;
+      sim.run_until(sim::Time::from_us(timer_origin.us() + next));
+    } else if (op < 81) {
+      // The expiry edge of a fresh non-parent candidate: exactly on it the
+      // route still counts, 1 us later it does not.
+      std::optional<sim::Time> edge;
+      for (const NodeId n : est.neighbors()) {
+        const RoutingEngine::NeighborRoute* r = routing.route(n);
+        if (n == routing.parent() || r == nullptr || r->parent == self ||
+            r->path_etx >= config.max_path_etx || !est.etx(n).has_value()) {
+          continue;
+        }
+        const sim::Time expires = r->last_heard + config.route_expiry;
+        if (expires >= sim.now() && (!edge || expires < *edge)) edge = expires;
+      }
+      if (!edge) continue;
+      ++edges;
+      sim.run_until(*edge);
+      outside_snoop();
+      check(step);
+      if (HasFatalFailure()) return;
+      sim.run_until(*edge + sim::Duration::from_us(1));
+      outside_snoop();
+    } else if (op < 93) {
+      const NodeId to =
+          rng.bernoulli(0.5) && routing.parent() != kInvalidNodeId
+              ? routing.parent()
+              : peer();
+      const bool acked = rng.bernoulli(0.7);
+      est.on_unicast_result(to, acked);
+      if (acked) {
+        routing.on_delivery_success(to);
+        outside_snoop();  // must notice an estimate the ack moved
+      } else {
+        routing.on_delivery_failure(to);
+      }
+    } else if (op < 96) {
+      if (routing.parent() == kInvalidNodeId) continue;
+      for (int i = 0; i < config.parent_evict_failures; ++i) {
+        est.on_unicast_result(routing.parent(), false);
+        routing.on_delivery_failure(routing.parent());
+      }
+    } else if (op < 99) {
+      (void)est.remove(peer());
+      routing.on_loop_detected();
+    } else {
+      routing.crash();
+      est.reset();
+      routing.start();
+      timer_origin = sim.now();
+      outside_snoop();
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  // The run reached expiry edges, and the engine skipped a good share of
+  // the evaluations it was asked for.
+  EXPECT_GT(edges, 100u);
+  EXPECT_GT(routing.parent_changes(), 10u);
+  EXPECT_LT(routing.selection_passes(), evaluations * 3 / 4)
+      << evaluations << " evaluations";
+}
+
 // ---- ForwardingEngine -------------------------------------------------------------
 
 class ForwardingFixture : public ::testing::Test {
@@ -732,7 +952,7 @@ class ForwardingFixture : public ::testing::Test {
           pending_done_.push_back(std::move(done));
         });
     // Give the node a route: parent 1 with cost 1.
-    estimator_.etx_map[NodeId{1}] = 1.0;
+    estimator_.set_etx(NodeId{1}, 1.0);
     routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   }
 

@@ -122,6 +122,8 @@ TEST(FixedBeaconTest, BeaconsAtConstantRate) {
 
 TEST(SnoopRouteTest, OverheardCostEnablesRoute) {
   sim::Simulator sim;
+  // A fixed one-entry table: link_estimates() never changes, so the
+  // version never has to move.
   class MapEstimator final : public link::LinkEstimator {
    public:
     std::vector<std::uint8_t> wrap_beacon(
