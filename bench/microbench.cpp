@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <vector>
@@ -507,8 +508,11 @@ BENCHMARK(BM_PropagationGainBatch)->Arg(64)->Arg(1024);
 /// N radios on a grid; args = {node count, use_link_cache}. Measures one
 /// full transmit -> deliver cycle, the channel's dominant cost. The
 /// fast/slow pairs at each N are the microbench view of the speedup that
-/// bench/channel_scaling.cpp measures end to end.
-void BM_ChannelBroadcast(benchmark::State& state) {
+/// bench/channel_scaling.cpp measures end to end. Each sender sends one
+/// frame of every size in `on_air_bytes` (PHY overhead included) in turn
+/// before the next sender takes over.
+void channel_broadcast(benchmark::State& state,
+                       std::initializer_list<std::size_t> on_air_bytes) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool fast = state.range(1) != 0;
   sim::Simulator sim;
@@ -525,16 +529,38 @@ void BM_ChannelBroadcast(benchmark::State& state) {
                  static_cast<double>(i / 16) * 30.0},
         phy::HardwareProfile{}, PowerDbm{0.0}));
   }
-  const std::vector<std::uint8_t> frame(40, 0xAB);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const std::size_t on_air : on_air_bytes) {
+    frames.emplace_back(on_air - phy.phy_overhead_bytes, 0xAB);
+  }
   std::size_t sender = 0;
+  std::size_t size = 0;
   for (auto _ : state) {
-    radios[sender]->transmit(frame, nullptr);
+    radios[sender]->transmit(frames[size], nullptr);
     sim.run();
-    sender = (sender + 1) % n;
+    size = (size + 1) % frames.size();
+    if (size == 0) sender = (sender + 1) % n;
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+/// One 40-byte MPDU per sender.
+void BM_ChannelBroadcast(benchmark::State& state) {
+  channel_broadcast(state, {46});
+}
 BENCHMARK(BM_ChannelBroadcast)
+    ->Args({50, 0})
+    ->Args({50, 1})
+    ->Args({200, 0})
+    ->Args({200, 1});
+
+/// Three frame sizes per sender, 12, 21 and 42 bytes on air: a CTP-style
+/// node's ack, beacon and data frames. Each size keeps its own PRR plane
+/// in the sender's row, so the sizes must not evict each other's memo.
+void BM_ChannelBroadcastMixedSizes(benchmark::State& state) {
+  channel_broadcast(state, {12, 21, 42});
+}
+BENCHMARK(BM_ChannelBroadcastMixedSizes)
     ->Args({50, 0})
     ->Args({50, 1})
     ->Args({200, 0})

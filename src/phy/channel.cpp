@@ -193,6 +193,7 @@ void Channel::rebuild_cache() {
 
   build_grid();
   rows_.assign(n_, {});
+  planes_.assign(n_, {});
   row_candidates_.assign(rows_complete() ? n_ : 0, {});
   for (std::size_t s = 0; s < n_; ++s) rebuild_row(s);
   // Transmissions already in the air keep their flags: slots are stable,
@@ -215,6 +216,7 @@ Channel::SparseLink Channel::make_link(std::uint32_t r, PowerDbm p) const {
 void Channel::rebuild_row(std::size_t s) {
   std::vector<SparseLink>& row = rows_[s];
   row.clear();
+  drop_prr_planes(s);
   const Radio* sender = radios_[s];
   if (sender == nullptr) return;  // tombstoned slot: empty row
   clear_batch();
@@ -263,7 +265,10 @@ void Channel::repair_link(std::size_t s, std::uint32_t r) {
   }
   std::vector<SparseLink>& row = rows_[s];
   if (complete(row)) {
-    row[r] = link;  // fresh memo: the gain changed
+    row[r] = link;
+    // The gain changed: forget its PRR in every plane.
+    std::vector<double>& prr = planes_[s].prr;
+    for (std::size_t k = r; k < prr.size(); k += n_) prr[k] = kNoPrr;
     std::vector<std::uint32_t>& cands = row_candidates_[s];
     const auto it = std::lower_bound(cands.begin(), cands.end(), r);
     const bool present = it != cands.end() && *it == r;
@@ -279,12 +284,44 @@ void Channel::repair_link(std::size_t s, std::uint32_t r) {
       [](const SparseLink& l, std::uint32_t v) { return l.receiver < v; });
   const bool present = it != row.end() && it->receiver == r;
   if (!link.candidate && !link.audible) {
-    if (present) row.erase(it);
+    if (!present) return;
+    row.erase(it);
   } else if (present) {
-    *it = link;  // fresh memo: the gain changed
+    *it = link;
   } else {
     row.insert(it, link);
   }
+  // An insert or erase shifts the positions the planes are indexed by,
+  // and an update changes a gain.
+  drop_prr_planes(s);
+}
+
+double* Channel::prr_plane(std::size_t s, std::size_t frame_bytes) {
+  PrrPlanes& planes = planes_[s];
+  const std::size_t len = rows_[s].size();
+  if (len == 0) return nullptr;
+  const std::size_t used = planes.prr.size() / len;
+  std::size_t k = 0;
+  while (k < used && planes.bytes[k] != frame_bytes) ++k;
+  if (k == kPrrPlanes) {
+    // No plane for this size and no room: the least recently used size
+    // gives way.
+    k = kPrrPlanes - 1;
+    std::fill_n(planes.prr.data() + planes.plane[k] * len, len, kNoPrr);
+  } else if (k == used) {
+    planes.plane[k] = static_cast<std::uint8_t>(used);
+    planes.prr.reserve(planes.prr.size() + len);  // exactly one plane more
+    planes.prr.resize(planes.prr.size() + len, kNoPrr);
+  }
+  // Most recently used first.
+  const std::uint8_t plane = planes.plane[k];
+  for (; k > 0; --k) {
+    planes.bytes[k] = planes.bytes[k - 1];
+    planes.plane[k] = planes.plane[k - 1];
+  }
+  planes.bytes[0] = frame_bytes;
+  planes.plane[0] = plane;
+  return planes.prr.data() + plane * len;
 }
 
 double Channel::receive_floor_radius(double max_tx_dbm,
@@ -502,14 +539,16 @@ bool Channel::busy_at(const Radio& listener) {
 // Inline: pass A calls this once per interference-free reception, and an
 // out-of-line call there cost ~5 % of `lpl` throughput on a 4-vCPU Xeon
 // VM (DESIGN.md §8.15).
-inline Channel::PrrMemo Channel::prr_memo(const ActiveTx& tx,
-                                          const PendingRx& rx) {
-  // A slot is trusted only while the row still holds the gain this
+inline double* Channel::prr_memo(const ActiveTx& tx, const PendingRx& rx,
+                                 double* plane) {
+  // An entry is trusted only while the row still holds the gain this
   // reception captured: a mid-flight tx-power change re-derives the row,
   // and in-flight frames keep their old power.
-  SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
-  if (link == nullptr || link->gain_dbm != rx.rx_power.value()) return {};
-  return {&link->prr_bytes, &link->prr_val};
+  const SparseLink* link = find_link(tx.sender_index, rx.receiver_index);
+  if (link == nullptr || link->gain_dbm != rx.rx_power.value()) {
+    return nullptr;
+  }
+  return plane + (link - rows_[tx.sender_index].data());
 }
 
 void Channel::gather_receivers(const ActiveTx& tx, sim::Time now) {
@@ -705,16 +744,17 @@ void Channel::finish_transmission(ActiveTx* tx) {
   }
 
   const std::size_t frame_bytes = tx->frame.size() + phy_.phy_overhead_bytes;
-  // The memo keeps frame sizes in 16 bits; a larger frame goes without.
-  const bool memo_fits =
-      frame_bytes <= std::numeric_limits<std::uint16_t>::max();
 
   // While the cache is frozen, every pending receiver_index is a live
-  // slot it covers, so pass A can read the precomputed noise terms and
-  // the row's PRR memo. Otherwise — no rows at all, or an attach past the
-  // slot peak while this frame was in the air — it derives the noise
-  // from the radio and skips the memo.
+  // slot it covers, so the passes can read the precomputed noise terms
+  // and the sender's PRR plane for this frame size, found once per frame.
+  // Otherwise — no rows at all, or an attach past the slot peak while
+  // this frame was in the air — they derive the noise from the radio and
+  // skip the memo.
   const bool frozen = cache_valid_;
+  double* const plane =
+      frozen && tx->cached ? prr_plane(tx->sender_index, frame_bytes)
+                           : nullptr;
 
   // Pass A computes every receiver's SINR and PRR into contiguous
   // scratch arrays (memo hits served in place, the misses funneled
@@ -733,16 +773,16 @@ void Channel::finish_transmission(ActiveTx* tx) {
   scratch_miss_memo_.clear();
   for (std::size_t i = 0; i < m; ++i) {
     const PendingRx& rx = tx->receivers[i];
-    PrrMemo memo;
+    double* memo = nullptr;
     if (frozen && rx.interference_mw == 0.0) {
       // noise_dbm_ is from_milliwatts(noise_mw_), the same double the
       // general formula below yields with zero interference.
       scratch_sinr_[i] = rx.rx_power.value() - noise_dbm_[rx.receiver_index];
       // Interference-free PRR is a pure function of (pair gain, frame
-      // size), so it is served from the sender's memo when it has one.
-      if (tx->cached && memo_fits) memo = prr_memo(*tx, rx);
-      if (memo.bytes != nullptr && *memo.bytes == frame_bytes) {
-        scratch_prr_[i] = *memo.val;
+      // size), so it is served from the plane when it holds one.
+      if (plane != nullptr) memo = prr_memo(*tx, rx, plane);
+      if (memo != nullptr && *memo != kNoPrr) {
+        scratch_prr_[i] = *memo;
         continue;
       }
     } else {
@@ -766,10 +806,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
   for (std::size_t j = 0; j < scratch_miss_.size(); ++j) {
     const double prr = scratch_miss_prr_[j];
     scratch_prr_[scratch_miss_[j]] = prr;
-    if (const PrrMemo memo = scratch_miss_memo_[j]; memo.bytes != nullptr) {
-      *memo.bytes = static_cast<std::uint16_t>(frame_bytes);
-      *memo.val = prr;
-    }
+    if (double* memo = scratch_miss_memo_[j]; memo != nullptr) *memo = prr;
   }
 
   // Every clean receiver gets the same bytes, so the FCS is checked once

@@ -14,8 +14,9 @@
 // One row store feeds that model. On topology freeze the channel bins
 // live radios into a uniform grid and gives every sender a row of
 // SparseLink entries sorted by receiver slot: rx power in dBm and mW, a
-// reception-candidate flag (above noise_floor + reception_cutoff_margin),
-// a CCA-audible flag, and a per-pair PRR memo. Without
+// reception-candidate flag (above noise_floor + reception_cutoff_margin)
+// and a CCA-audible flag. Beside each row sit its PRR planes: one
+// interference-free PRR memo per frame size the sender has used. Without
 // PhyConfig::use_spatial_index the grid is one cell and every row is
 // complete — one entry per slot, indexed by slot with no search, plus a
 // list of the row's candidate slots. With it, the cell size is a
@@ -42,8 +43,9 @@
 // arrays and accumulates interference outer over the active
 // transmissions; finish_transmission computes every receiver's SINR and
 // PRR in one pass (misses batched through Modulation::prr_batch,
-// interference-free pairs served from the row's memo while the cache is
-// frozen) before the sequential pass that draws the RNG.
+// interference-free pairs served from the sender's PRR plane for the
+// frame's size while the cache is frozen) before the sequential pass
+// that draws the RNG.
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
 // it (repairing only the touched rows when a cache is frozen), so
@@ -53,6 +55,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -232,26 +235,42 @@ class Channel {
   // --- link rows ---------------------------------------------------------
   /// One stored link of a sender's row: rx power both in dBm (thresholds,
   /// SINR) and milliwatts (interference sums; stored so a term costs no
-  /// pow()), the candidate and audible flags, and the per-pair PRR memo.
-  /// Interference-free PRR is a pure function of (pair gain, frame
-  /// size), so the memo remembers the last size seen; it is trusted only
-  /// while `gain_dbm` still equals the power a reception captured (a
-  /// mid-flight tx-power change re-derives the row, and in-flight frames
-  /// keep their old power).
+  /// pow()), and the candidate and audible flags. The PRR memo lives
+  /// beside the row, in its PRR planes.
   struct SparseLink {
     std::uint32_t receiver = 0;   // slot index, ascending within a row
-    // PRR memo key: last frame size (0 = empty). Frames too large for 16
-    // bits are not memoized.
-    std::uint16_t prr_bytes = 0;
     bool candidate = false;       // above the receiver's reception cutoff
     bool audible = false;         // above the CCA threshold
     double gain_dbm = 0.0;
     double gain_mw = 0.0;
-    double prr_val = 0.0;
   };
-  // Two links per cache line, and a complete row's length check is a
-  // shift, not a division.
-  static_assert(sizeof(SparseLink) == 32);
+  // Eight links per three cache lines; a link and its entry in one PRR
+  // plane take 32 bytes.
+  static_assert(sizeof(SparseLink) == 24);
+
+  /// Frame sizes one row memoizes PRR for. A CTP-style sender uses three
+  /// (ack, beacon, data), but a beacon that carries link-table entries
+  /// changes size as the table fills. A further size takes over the
+  /// plane of the least recently used size, so acks and data, sent all
+  /// the time, keep theirs.
+  static constexpr std::size_t kPrrPlanes = 4;
+  /// A plane entry not computed yet (a PRR is never negative).
+  static constexpr double kNoPrr = -1.0;
+  /// One sender row's PRR memo. Interference-free PRR is a pure function
+  /// of (pair gain, frame size), so the frame sizes the sender has used
+  /// since its row was derived, kPrrPlanes at most, each get a plane: one
+  /// double per link, indexed by the link's position in the row (its
+  /// slot, in a complete row). An entry is trusted only while the link's `gain_dbm` still
+  /// equals the power a reception captured: a mid-flight tx-power change
+  /// re-derives the row, and in-flight frames keep their old power.
+  struct PrrPlanes {
+    // The sizes that have a plane, most recently used first, and where
+    // each one's plane sits in `prr`. prr.size() / row size of them are
+    // in use.
+    std::array<std::size_t, kPrrPlanes> bytes{};
+    std::array<std::uint8_t, kPrrPlanes> plane{};
+    std::vector<double> prr;  // plane p: [p * row size, (p + 1) * row size)
+  };
 
   void ensure_cache();
   void rebuild_cache();
@@ -266,14 +285,27 @@ class Channel {
   }
   /// Re-derives sender `s`'s row from the propagation model: one batch
   /// over the live slots of its 3x3 cell neighborhood (every live slot
-  /// when the grid is one cell). Resets the row's PRR memos.
+  /// when the grid is one cell). Drops the row's PRR planes.
   void rebuild_row(std::size_t s);
+  /// Sender `s`'s PRR plane for `frame_bytes`-byte frames, allocated on
+  /// the first frame of that size, or taken over from the least recently
+  /// used size once the row has kPrrPlanes, with every entry kNoPrr; null
+  /// when the row is empty. An empty row (a detached sender's) never
+  /// serves a plane, so detach leaves its planes be: a reuse re-derives
+  /// the row through rebuild_row, which drops them.
+  [[nodiscard]] double* prr_plane(std::size_t s, std::size_t frame_bytes);
+  /// Forgets every PRR memo of sender `s`'s row (its length or its links
+  /// changed).
+  void drop_prr_planes(std::size_t s) { planes_[s].prr.clear(); }
   /// The link from a pair's rx power, flags set against receiver `r`'s
   /// reception cutoff and the CCA threshold.
   [[nodiscard]] SparseLink make_link(std::uint32_t r, PowerDbm p) const;
   /// Re-derives sender `s`'s link to receiver slot `r` from the live
   /// pair: inserts, updates or erases the entry of a culled row, rewrites
-  /// the entry of a complete row. A tombstoned receiver gets no link.
+  /// the entry of a complete row. A tombstoned receiver gets no link. A
+  /// complete row clears the link's entry in every PRR plane; a culled
+  /// row that changed drops its planes (an insert or erase shifts
+  /// positions).
   void repair_link(std::size_t s, std::uint32_t r);
   /// Incremental repair when attach reuses tombstoned slot `slot` while
   /// a cache is frozen: re-derives the slot's own row plus every other
@@ -342,16 +374,12 @@ class Channel {
                                               std::uint32_t receiver) const {
     return tx.cached ? find_link(tx.sender_index, receiver) : nullptr;
   }
-  /// One pair's PRR memo entry (a stored link's fields); null when there
-  /// is none to trust.
-  struct PrrMemo {
-    std::uint16_t* bytes = nullptr;  // last frame size (0 = empty)
-    double* val = nullptr;
-  };
-  /// The memo slot of sender `tx` (which has a row) for reception `rx`,
-  /// or null when the row lacks the pair or its gain no longer matches
-  /// the power the reception captured. Requires a frozen cache.
-  [[nodiscard]] PrrMemo prr_memo(const ActiveTx& tx, const PendingRx& rx);
+  /// The entry of `plane` (sender `tx`'s PRR plane for the frame's size)
+  /// that memoizes reception `rx`, or null when the row lacks the pair or
+  /// its gain no longer matches the power the reception captured.
+  /// Requires a frozen cache.
+  [[nodiscard]] double* prr_memo(const ActiveTx& tx, const PendingRx& rx,
+                                 double* plane);
   /// Gathers `tx`'s reception candidates that can hear at `now` into the
   /// scratch_rx_/scratch_slot_/scratch_gain_dbm_ arrays, in slot order:
   /// from the sender's row, or — no row — from one batch over every live
@@ -415,7 +443,7 @@ class Channel {
   std::vector<std::uint32_t> scratch_miss_;  // receiver rows needing a PRR
   std::vector<double> scratch_miss_sinr_;
   std::vector<double> scratch_miss_prr_;
-  std::vector<PrrMemo> scratch_miss_memo_;  // write-back slot per miss
+  std::vector<double*> scratch_miss_memo_;  // plane entry per miss, or null
   std::vector<std::uint8_t> corrupt_scratch_;  // deliver_corrupt buffer
 
   // Link rows: one per slot, rebuilt lazily after an attach past the
@@ -424,6 +452,7 @@ class Channel {
   bool cache_valid_ = false;
   std::size_t n_ = 0;  // slots covered by the frozen cache
   std::vector<std::vector<SparseLink>> rows_;
+  std::vector<PrrPlanes> planes_;  // per slot: the PRR memo of rows_[slot]
   // Complete rows only (empty when rows are culled): each row's
   // candidate receiver slots, ascending, so the gather visits the
   // candidates instead of all N entries. Culled rows go without: the

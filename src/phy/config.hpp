@@ -49,9 +49,10 @@ struct PhyConfig {
 
   /// Link rows: on topology freeze the channel gives every sender a row
   /// of stored links (rx power in dBm and mW, candidate and CCA-audible
-  /// flags, PRR memo), so start_transmission and busy_at touch only a
-  /// sender's candidates and stored gains instead of re-deriving every
-  /// pair from the propagation model. Off, no row is built and every
+  /// flags) and a PRR memo per frame size the sender has used, so
+  /// start_transmission and busy_at touch only a sender's candidates and
+  /// stored gains instead of re-deriving every pair from the propagation
+  /// model. Off, no row is built and every
   /// pair comes from the propagation batch: the same loop with no rows,
   /// kept as the reference the delivery-digest tests compare against.
   /// Results are bit-identical either way (same doubles, same RNG draw

@@ -13,6 +13,7 @@ Radio::Radio(Channel& channel, NodeId id, Position position,
       id_(id),
       position_(position),
       hardware_(hw),
+      noise_floor_(channel.phy().noise_floor + hw.noise_figure_offset),
       tx_power_(tx_power) {
   channel_.attach(*this);
 }
@@ -22,10 +23,6 @@ Radio::~Radio() { channel_.detach(*this); }
 void Radio::set_tx_power(PowerDbm p) {
   tx_power_ = p;
   channel_.on_tx_power_changed(*this);
-}
-
-PowerDbm Radio::noise_floor() const {
-  return channel_.phy().noise_floor + hardware_.noise_figure_offset;
 }
 
 bool Radio::channel_clear() const {

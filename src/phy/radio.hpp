@@ -69,8 +69,9 @@ class Radio {
     return tx_power_ + hardware_.tx_power_offset;
   }
 
-  /// This receiver's effective noise floor (channel floor + noise figure).
-  [[nodiscard]] PowerDbm noise_floor() const;
+  /// This receiver's effective noise floor (channel floor + noise figure),
+  /// fixed at construction.
+  [[nodiscard]] PowerDbm noise_floor() const { return noise_floor_; }
 
   void set_rx_handler(RxHandler h) { rx_handler_ = std::move(h); }
 
@@ -116,6 +117,7 @@ class Radio {
   NodeId id_;
   Position position_;
   HardwareProfile hardware_;
+  PowerDbm noise_floor_;
   PowerDbm tx_power_;
   RxHandler rx_handler_;
   sim::Time transmitting_until_;

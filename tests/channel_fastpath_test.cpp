@@ -8,8 +8,10 @@
 // CI configuration).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -65,8 +67,10 @@ struct Pump {
   DeliveryDigest digest;
   std::uint64_t deliveries = 0;
 
-  explicit Pump(bool fast, std::size_t n = 30)
-      : channel(sim, make_phy(fast), phy::PropagationConfig{},
+  explicit Pump(bool fast, std::size_t n = 30) : Pump(make_phy(fast), n) {}
+
+  Pump(phy::PhyConfig phy, std::size_t n)
+      : channel(sim, phy, phy::PropagationConfig{},
                 std::make_unique<phy::NullInterference>(), sim::Rng{99}) {
     for (std::size_t i = 0; i < n; ++i) {
       // 30 m grid pitch: every pair is inside the ~268 m reception range,
@@ -179,12 +183,12 @@ TEST(ChannelFastPathTest, FrameInFlightAcrossCacheInvalidationMatches) {
 }
 
 TEST(ChannelFastPathTest, OversizedFrameBypassesPrrMemo) {
-  // The per-pair PRR memo keys on the frame size in 16 bits. A frame
-  // whose size does not fit must not be memoized, or a later frame whose
-  // size matches the truncated key would reuse its PRR. On a marginal
-  // link the oversized frame's PRR is ~0 while the small frame's is not,
-  // so a leak changes which frames arrive intact, against the run with
-  // no rows.
+  // A 65,600-byte frame, then 58-byte frames: 64 bytes on air, the
+  // 65,600-byte size modulo 2^16. A memo keyed on the frame size in 16
+  // bits would serve the small frames the oversized frame's PRR. On a
+  // marginal link that PRR is ~0 while the small frame's is not, so a
+  // leak changes which frames arrive intact, against the run with no
+  // rows. Each size now keeps its own PRR plane, keyed on the full size.
   auto run = [](bool fast) {
     Pump p{fast, 0};
     p.add_radio(NodeId{1}, Position{0.0, 0.0});
@@ -206,6 +210,174 @@ TEST(ChannelFastPathTest, OversizedFrameBypassesPrrMemo) {
   };
   const auto fast = run(true);
   EXPECT_GT(fast.first, 5u);
+  EXPECT_EQ(fast, run(false));
+}
+
+// ---- PRR planes: one memo per frame size ------------------------------
+
+/// One round of on-air frame sizes from one sender: a CTP-style node's
+/// ack (12 B), beacon (21 B) and data (42 B) frames before each of three
+/// more sizes. Six sizes is more than a row keeps PRR planes for (four),
+/// so the extra sizes take turns in the least recently used plane.
+constexpr std::size_t kRoundSizes[] = {12, 21, 42, 60, 12, 21, 42, 80,
+                                       12, 21, 42, 100};
+
+/// A sender, radios[1], and receivers on the upper half circle around
+/// it, each walked out until a 42-byte frame from the sender falls below
+/// its own PRR target (0.85, 0.75, ..., 0.35). Every size's and every
+/// receiver's PRR then differs from the others', so a PRR served for the
+/// wrong size, pair or gain changes which frames arrive. A silent
+/// anchor, radios[0], sits at the origin, `sender_x` meters to the left
+/// of the sender. Loss is a pure function of the two ids and the
+/// distance, so the paths with and without rows place every radio alike.
+struct MarginalFan {
+  static constexpr std::size_t kReceivers = 6;
+
+  Pump p;
+  Position sender_pos;
+  std::vector<double> distance;  // per receiver, from the sender
+
+  MarginalFan(phy::PhyConfig phy, double sender_x)
+      : p(phy, 0), sender_pos{sender_x, 0.0} {
+    p.add_radio(NodeId{1}, Position{0.0, 0.0});
+    p.add_radio(NodeId{2}, sender_pos);
+    for (std::size_t k = 0; k < kReceivers; ++k) {
+      const double target = 0.85 - 0.1 * static_cast<double>(k);
+      double d = 60.0;
+      for (;; d += 1.0) {
+        place(k, d);
+        const double prr =
+            p.channel.mean_prr(sender(), *p.radios.back(), 42 - 6);
+        if (prr < target || d >= 1000.0) break;
+        p.radios.pop_back();
+      }
+      distance.push_back(d);
+    }
+  }
+
+  phy::Radio& sender() { return *p.radios[1]; }
+
+  /// Receiver k's position at distance `d` from the sender; `mirror`
+  /// reflects it across the vertical through the sender.
+  [[nodiscard]] Position at(std::size_t k, double d, bool mirror) const {
+    const double angle = (static_cast<double>(k) + 0.5) * std::numbers::pi /
+                         static_cast<double>(kReceivers);
+    const double dx = d * std::cos(angle);
+    return Position{sender_pos.x + (mirror ? -dx : dx), d * std::sin(angle)};
+  }
+
+  void place(std::size_t k, double d, bool mirror = false) {
+    p.add_radio(NodeId{static_cast<std::uint16_t>(10 + k)}, at(k, d, mirror));
+  }
+
+  /// One frame of each size in kRoundSizes per round, one at a time, so
+  /// every reception is interference-free and goes through the memo.
+  /// With `power_flip`, the sender's tx power toggles between 0 and -2 dBm
+  /// halfway through each 42-byte frame's airtime.
+  void rotate_sizes(int rounds, bool power_flip = false) {
+    for (int round = 0; round < rounds; ++round) {
+      for (const std::size_t on_air : kRoundSizes) {
+        std::vector<std::uint8_t> frame(on_air - 6,
+                                        static_cast<std::uint8_t>(on_air));
+        frame[0] = static_cast<std::uint8_t>(round);
+        sender().transmit(frame, nullptr);
+        if (power_flip && on_air == 42) {
+          p.sim.schedule_in(sim::Duration::from_us(600), [this] {
+            const bool loud = sender().tx_power() == PowerDbm{0.0};
+            sender().set_tx_power(PowerDbm{loud ? -2.0 : 0.0});
+          });
+        }
+        p.sim.run();
+      }
+    }
+  }
+};
+
+phy::PhyConfig fan_phy(bool fast, bool spatial) {
+  phy::PhyConfig phy = Pump::make_phy(fast);
+  phy.use_spatial_index = spatial;
+  return phy;
+}
+
+TEST(ChannelFastPathTest, PrrPlanesMatchReferenceOnCompleteRows) {
+  // Six sizes from one sender, four planes in its row. Mid-run receiver
+  // 10 dies and comes back at 80 % of its distance: its PRR entries must
+  // go with it (a complete row clears the slot in every plane), or the
+  // returning radio is served its old PRR.
+  auto run = [](bool fast) {
+    MarginalFan fan{fan_phy(fast, false), 200.0};
+    fan.rotate_sizes(4);
+    fan.p.radios[2].reset();  // receiver 10 dies...
+    fan.rotate_sizes(4);
+    fan.place(0, 0.8 * fan.distance[0]);  // ...and returns, closer
+    fan.rotate_sizes(4);
+    if (fast) {
+      EXPECT_EQ(fan.p.channel.cache_rebuilds(), 1u);
+    }
+    return std::pair{fan.p.deliveries, fan.p.digest.h};
+  };
+  const auto fast = run(true);
+  EXPECT_GT(fast.first, 20u);
+  EXPECT_EQ(fast, run(false));
+}
+
+TEST(ChannelFastPathTest, PrrPlanesMatchReferenceOnCulledRowsAcrossCells) {
+  // The same rotation on culled rows. Receiver 10 dies, which erases its
+  // link from the sender's row and shifts every later position, and
+  // returns closer on the far side of a cell edge, which inserts it back.
+  // Each shift must drop the row's planes, or a receiver is served its
+  // neighbour's PRR.
+  const double cell = [] {
+    // The receive-floor radius, which the cells are as wide as: it
+    // depends only on the config (tx power, floors, shadowing).
+    Pump probe{fan_phy(true, true), 0};
+    probe.add_radio(NodeId{1}, Position{0.0, 0.0});
+    probe.add_radio(NodeId{2}, Position{10.0, 0.0});
+    (void)probe.channel.candidate_count(*probe.radios[0]);
+    return probe.channel.spatial_radius_m();
+  }();
+  ASSERT_GT(cell, 500.0);
+  // The sender sits 100 m right of the first cell edge (the anchor at
+  // the origin is the grid's corner), so receiver 10, right of it at
+  // 15 degrees, is in the second cell and its mirror image in the first.
+  const double sender_x = cell + 100.0;
+  auto run = [sender_x, cell](bool fast) {
+    MarginalFan fan{fan_phy(fast, true), sender_x};
+    const double back = 0.8 * fan.distance[0];
+    EXPECT_GT(fan.p.radios[2]->position().x, cell);
+    EXPECT_LT(fan.at(0, back, true).x, cell);
+    fan.rotate_sizes(4);
+    fan.p.radios[2].reset();
+    fan.rotate_sizes(4);
+    fan.place(0, back, true);
+    fan.rotate_sizes(4);
+    if (fast) {
+      EXPECT_EQ(fan.p.channel.spatial_radius_m(), cell);
+      EXPECT_EQ(fan.p.channel.cache_rebuilds(), 1u);  // repaired in place
+    }
+    return std::pair{fan.p.deliveries, fan.p.digest.h};
+  };
+  const auto fast = run(true);
+  EXPECT_GT(fast.first, 20u);
+  EXPECT_EQ(fast, run(false));
+}
+
+TEST(ChannelFastPathTest, PrrPlanesMatchReferenceAcrossMidFlightTxPowerChange) {
+  // The sender's tx power toggles while each of its 42-byte frames is in
+  // the air. The frame keeps the power it started with; the row is
+  // re-derived at the new one, which drops its planes. The frame's
+  // receptions no longer match the row's gains, so their PRR must not be
+  // written to the fresh plane, where the next 42-byte frame, sent at the
+  // new power, would read it.
+  auto run = [](bool fast) {
+    MarginalFan fan{fan_phy(fast, false), 200.0};
+    fan.rotate_sizes(2);
+    fan.rotate_sizes(6, true);
+    fan.rotate_sizes(2);
+    return std::pair{fan.p.deliveries, fan.p.digest.h};
+  };
+  const auto fast = run(true);
+  EXPECT_GT(fast.first, 20u);
   EXPECT_EQ(fast, run(false));
 }
 
