@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   receiver_mac.set_rx_handler([&](NodeId, std::uint8_t,
                                   std::span<const std::uint8_t>,
                                   const phy::RxInfo& info) {
-    lqi_series.add(sim.now(), static_cast<double>(info.lqi));
+    lqi_series.add(sim.now(), static_cast<double>(info.lqi()));
   });
 
   const auto period = sim::Duration::from_seconds(2.0);

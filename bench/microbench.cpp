@@ -510,9 +510,12 @@ BENCHMARK(BM_PropagationGainBatch)->Arg(64)->Arg(1024);
 /// fast/slow pairs at each N are the microbench view of the speedup that
 /// bench/channel_scaling.cpp measures end to end. Each sender sends one
 /// frame of every size in `on_air_bytes` (PHY overhead included) in turn
-/// before the next sender takes over.
+/// before the next sender takes over. With `read_lqi`, every radio's
+/// handler reads lqi() and white() of each delivery; otherwise radios
+/// install no handler and every LQI goes unread.
 void channel_broadcast(benchmark::State& state,
-                       std::initializer_list<std::size_t> on_air_bytes) {
+                       std::initializer_list<std::size_t> on_air_bytes,
+                       bool read_lqi = false) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool fast = state.range(1) != 0;
   sim::Simulator sim;
@@ -529,6 +532,15 @@ void channel_broadcast(benchmark::State& state,
                  static_cast<double>(i / 16) * 30.0},
         phy::HardwareProfile{}, PowerDbm{0.0}));
   }
+  int lqi_sum = 0;
+  if (read_lqi) {
+    for (const auto& r : radios) {
+      r->set_rx_handler(
+          [&lqi_sum](std::span<const std::uint8_t>, const phy::RxInfo& info) {
+            lqi_sum += info.lqi() + (info.white() ? 1 : 0);
+          });
+    }
+  }
   std::vector<std::vector<std::uint8_t>> frames;
   for (const std::size_t on_air : on_air_bytes) {
     frames.emplace_back(on_air - phy.phy_overhead_bytes, 0xAB);
@@ -541,6 +553,7 @@ void channel_broadcast(benchmark::State& state,
     size = (size + 1) % frames.size();
     if (size == 0) sender = (sender + 1) % n;
   }
+  benchmark::DoNotOptimize(lqi_sum);
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -549,6 +562,18 @@ void BM_ChannelBroadcast(benchmark::State& state) {
   channel_broadcast(state, {46});
 }
 BENCHMARK(BM_ChannelBroadcast)
+    ->Args({50, 0})
+    ->Args({50, 1})
+    ->Args({200, 0})
+    ->Args({200, 1});
+
+/// BM_ChannelBroadcast with a handler on every radio that reads lqi() and
+/// white(): the LQI math that BM_ChannelBroadcast's unread deliveries
+/// skip.
+void BM_ChannelBroadcastReadLqi(benchmark::State& state) {
+  channel_broadcast(state, {46}, /*read_lqi=*/true);
+}
+BENCHMARK(BM_ChannelBroadcastReadLqi)
     ->Args({50, 0})
     ->Args({50, 1})
     ->Args({200, 0})

@@ -60,7 +60,7 @@ int main() {
   rx_mac.set_rx_handler([&](NodeId src, std::uint8_t,
                             std::span<const std::uint8_t>,
                             const phy::RxInfo& info) {
-    lqi.on_data_rx(src, {.white = info.white, .lqi = info.lqi});
+    lqi.on_data_rx(src, {.white = info.white(), .lqi = info.lqi()});
   });
 
   // Beacon-PRR observer: the receiver counts periodic broadcast probes.
@@ -69,7 +69,7 @@ int main() {
   rx_mac.set_rx_handler([&](NodeId src, std::uint8_t,
                             std::span<const std::uint8_t> payload,
                             const phy::RxInfo& info) {
-    lqi.on_data_rx(src, {.white = info.white, .lqi = info.lqi});
+    lqi.on_data_rx(src, {.white = info.white(), .lqi = info.lqi()});
     if (!payload.empty() && payload[0] == 0xBE) ++beacons_heard;
   });
 

@@ -99,8 +99,8 @@ void CollectionNode::on_mac_rx(NodeId src, std::uint8_t /*dsn*/,
   const auto body = payload.subspan(1);
 
   link::PacketPhyInfo phy_info;
-  phy_info.white = info.white;
-  phy_info.lqi = info.lqi;
+  phy_info.white = info.white();
+  phy_info.lqi = info.lqi();
 
   switch (dispatch) {
     case kDispatchBeacon: {

@@ -8,7 +8,6 @@
 
 #include "common/assert.hpp"
 #include "common/crc16.hpp"
-#include "phy/lqi.hpp"
 
 namespace fourbit::phy {
 
@@ -286,13 +285,13 @@ void Channel::repair_link(std::size_t s, std::uint32_t r) {
   if (!link.candidate && !link.audible) {
     if (!present) return;
     row.erase(it);
-  } else if (present) {
-    *it = link;
   } else {
+    // A live receiver is repaired only when attach reuses its slot, and
+    // detach scrubbed the slot's links before the slot could be reused.
+    FOURBIT_ASSERT(!present, "a culled row still holds a reused slot");
     row.insert(it, link);
   }
-  // An insert or erase shifts the positions the planes are indexed by,
-  // and an update changes a gain.
+  // An insert or erase shifts the positions the planes are indexed by.
   drop_prr_planes(s);
 }
 
@@ -711,25 +710,8 @@ void Channel::deliver_corrupt(Radio& r, const ActiveTx& tx,
     mangled[pos] ^= static_cast<std::uint8_t>(
         1 + reception_rng_.uniform_int(255));
   }
-  RxInfo info;
-  info.rssi = rx.rx_power;
-  info.snr_db = (rx.rx_power - r.noise_floor()).value();
-  info.lqi = LqiModel::kMinLqi;
-  info.white = false;
-  info.fcs_ok = false;
-  r.deliver(mangled, info);
-}
-
-bool Channel::white_bit(const RxInfo& info) const {
-  switch (phy_.white_bit_source) {
-    case PhyConfig::WhiteBitSource::kLqi:
-      return info.lqi >= phy_.white_bit_lqi_threshold;
-    case PhyConfig::WhiteBitSource::kSnr:
-      return info.snr_db >= phy_.white_bit_snr_threshold_db;
-    case PhyConfig::WhiteBitSource::kNever:
-      return false;
-  }
-  return false;
+  r.deliver(mangled, RxInfo::corrupt(rx.rx_power,
+                                     (rx.rx_power - r.noise_floor()).value()));
 }
 
 void Channel::finish_transmission(ActiveTx* tx) {
@@ -760,8 +742,8 @@ void Channel::finish_transmission(ActiveTx* tx) {
   // scratch arrays (memo hits served in place, the misses funneled
   // through Modulation::prr_batch in row order); pass B then runs the
   // sequential control flow — half-duplex check, fault draw, reception
-  // draw, burst draw, corrupt delivery, LQI — consuming the precomputed
-  // values. PRR evaluation draws no RNG and distinct receivers own
+  // draw, burst draw, corrupt delivery, LQI draw — consuming the
+  // precomputed values. PRR evaluation draws no RNG and distinct receivers own
   // distinct memo slots, so hoisting it out of the sequential loop
   // (including for receivers pass B skips) leaves every random draw and
   // every delivered byte bitwise unchanged.
@@ -813,6 +795,7 @@ void Channel::finish_transmission(ActiveTx* tx) {
   // per transmission, at the first clean delivery (the CC2420's AUTOCRC
   // does this in hardware). The check draws no RNG.
   std::optional<bool> crc_ok;
+  const WhiteBitRule white_rule = WhiteBitRule::of(phy_);
   for (std::size_t i = 0; i < m; ++i) {
     const PendingRx& rx = tx->receivers[i];
     Radio& r = *rx.receiver;
@@ -847,14 +830,10 @@ void Channel::finish_transmission(ActiveTx* tx) {
     }
 
     // LQI reflects the thermal-only SNR of this (successfully received)
-    // packet.
-    const double snr_thermal = (rx.rx_power - r.noise_floor()).value();
-    RxInfo info;
-    info.rssi = rx.rx_power;
-    info.snr_db = snr_thermal;
-    info.lqi = LqiModel::sample(snr_thermal, lqi_rng_);
-    info.white = white_bit(info);
-    info.fcs_ok = true;
+    // packet. Its noise is drawn here, in delivery order, whether or not
+    // a layer reads it; RxInfo evaluates the reading on the first read.
+    RxInfo info{rx.rx_power, (rx.rx_power - r.noise_floor()).value(),
+                lqi_rng_.normal_draw(), white_rule};
     if (!crc_ok.has_value()) crc_ok = crc16_trailer_ok(tx->frame);
     info.crc_ok = *crc_ok;
     r.deliver(tx->frame, info);

@@ -6,10 +6,12 @@
 //   PRR  = (1 - BER(SINR))^(8 * frame bytes)           [O-QPSK DSSS]
 // then an independent burst-interference process may destroy the packet
 // outright (whole-packet loss that leaves no LQI trace). LQI and the
-// white bit are computed from the thermal-only SNR of packets that made
-// it through — received packets look clean even on a lossy link, which
-// is the physical effect the paper's white bit (and MultiHopLQI's
-// failure mode) hinges on.
+// white bit follow from the thermal-only SNR of packets that made it
+// through — received packets look clean even on a lossy link, which is
+// the physical effect the paper's white bit (and MultiHopLQI's failure
+// mode) hinges on. Each clean delivery takes its LQI noise draw from the
+// `lqi` stream in delivery order; RxInfo evaluates the reading and the
+// white bit only when a layer reads them (DESIGN.md §8.22).
 //
 // One row store feeds that model. On topology freeze the channel bins
 // live radios into a uniform grid and gives every sender a row of
@@ -45,7 +47,8 @@
 // PRR in one pass (misses batched through Modulation::prr_batch,
 // interference-free pairs served from the sender's PRR plane for the
 // frame's size while the cache is frozen) before the sequential pass
-// that draws the RNG.
+// that draws the RNG (fault, reception, burst, corruption and LQI
+// noise).
 //
 // Radios occupy stable slots: detach tombstones a slot and attach reuses
 // it (repairing only the touched rows when a cache is frozen), so
@@ -230,7 +233,6 @@ class Channel {
   void finish_transmission(ActiveTx* tx);
   void deliver_corrupt(Radio& r, const ActiveTx& tx, const PendingRx& rx,
                        double sinr_db);
-  [[nodiscard]] bool white_bit(const RxInfo& info) const;
 
   // --- link rows ---------------------------------------------------------
   /// One stored link of a sender's row: rx power both in dBm (thresholds,
@@ -301,8 +303,10 @@ class Channel {
   /// reception cutoff and the CCA threshold.
   [[nodiscard]] SparseLink make_link(std::uint32_t r, PowerDbm p) const;
   /// Re-derives sender `s`'s link to receiver slot `r` from the live
-  /// pair: inserts, updates or erases the entry of a culled row, rewrites
-  /// the entry of a complete row. A tombstoned receiver gets no link. A
+  /// pair: inserts or erases the entry of a culled row, rewrites the
+  /// entry of a complete row. A tombstoned receiver gets no link. A
+  /// culled row never holds a live receiver's entry when it is repaired
+  /// (detach scrubs a slot's links before a reuse), which is asserted. A
   /// complete row clears the link's entry in every PRR plane; a culled
   /// row that changed drops its planes (an insert or erase shifts
   /// positions).

@@ -87,6 +87,19 @@ struct PhyConfig {
   }
 };
 
+/// A PhyConfig's white-bit rule as a value: each clean reception carries
+/// a copy, so RxInfo::white() can apply it when a layer reads the bit.
+struct WhiteBitRule {
+  PhyConfig::WhiteBitSource source = PhyConfig::WhiteBitSource::kNever;
+  int lqi_threshold = 0;
+  double snr_threshold_db = 0.0;
+
+  [[nodiscard]] static WhiteBitRule of(const PhyConfig& phy) {
+    return {phy.white_bit_source, phy.white_bit_lqi_threshold,
+            phy.white_bit_snr_threshold_db};
+  }
+};
+
 /// Propagation-environment configuration (log-distance + shadowing).
 struct PropagationConfig {
   /// Path loss at the 1 m reference distance, 2.4 GHz free space.

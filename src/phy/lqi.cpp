@@ -12,12 +12,16 @@ double LqiModel::mean_lqi(double snr_db) {
   return 50.0 + 60.0 / (1.0 + std::exp(-(snr_db - 1.0) / 1.2));
 }
 
-int LqiModel::sample(double snr_db, sim::Rng& rng) {
-  const double noisy = mean_lqi(snr_db) + rng.normal(0.0, 3.0);
+int LqiModel::reading(double snr_db, double z) {
+  const double noisy = mean_lqi(snr_db) + 3.0 * z;
   const double clamped =
       std::clamp(noisy, static_cast<double>(kMinLqi),
                  static_cast<double>(kMaxLqi));
   return static_cast<int>(std::lround(clamped));
+}
+
+int LqiModel::sample(double snr_db, sim::Rng& rng) {
+  return reading(snr_db, rng.normal());
 }
 
 }  // namespace fourbit::phy

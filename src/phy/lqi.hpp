@@ -21,7 +21,13 @@ class LqiModel {
   /// Expected LQI at a given SNR (logistic ramp between 50 and 110).
   [[nodiscard]] static double mean_lqi(double snr_db);
 
-  /// One noisy reading (gaussian measurement noise, clamped to range).
+  /// The reading at `snr_db` whose gaussian measurement noise is the
+  /// standard normal `z` (scaled to 3 LQI units), clamped to range and
+  /// rounded. The one LQI formula: RxInfo::lqi() evaluates it.
+  [[nodiscard]] static int reading(double snr_db, double z);
+
+  /// One noisy reading drawn now: reading(snr_db, rng.normal()). The
+  /// reference the deferred RxInfo::lqi() is tested against.
   [[nodiscard]] static int sample(double snr_db, sim::Rng& rng);
 };
 

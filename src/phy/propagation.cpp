@@ -15,12 +15,11 @@ using sim::detail::box_muller_radius;
 using sim::detail::box_muller_theta;
 
 // rng.fork(key).normal(0.0, sigma), bit for bit: the child's first normal
-// is the cosine half of one Box–Muller pair (the sine half is cached for a
-// second call that never comes, so it is not computed), and
-// normal(mean, sigma) is `mean + sigma * normal()`.
+// is the cosine half of one Box–Muller pair, and normal(mean, sigma) is
+// `mean + sigma * normal()`.
 double forked_normal(const sim::Rng& rng, std::uint64_t key, double sigma) {
   const sim::Rng::NormalUniforms u = rng.fork_normal_uniforms(key);
-  const double z = box_muller_radius(u.u1) * std::cos(box_muller_theta(u.u2));
+  const double z = sim::detail::box_muller(u.u1, u.u2, /*sine=*/false);
   return 0.0 + sigma * z;
 }
 

@@ -4,8 +4,34 @@
 
 #include "common/assert.hpp"
 #include "phy/channel.hpp"
+#include "phy/lqi.hpp"
 
 namespace fourbit::phy {
+
+RxInfo RxInfo::corrupt(PowerDbm rx_power, double thermal_snr_db) {
+  RxInfo info;
+  info.rssi = rx_power;
+  info.snr_db = thermal_snr_db;
+  info.fcs_ok = false;
+  info.lqi_ = LqiModel::kMinLqi;
+  return info;
+}
+
+int RxInfo::evaluate_lqi() const {
+  return LqiModel::reading(snr_db, lqi_noise_.value());
+}
+
+bool RxInfo::white() const {
+  switch (white_rule_.source) {
+    case PhyConfig::WhiteBitSource::kLqi:
+      return lqi() >= white_rule_.lqi_threshold;
+    case PhyConfig::WhiteBitSource::kSnr:
+      return snr_db >= white_rule_.snr_threshold_db;
+    case PhyConfig::WhiteBitSource::kNever:
+      return false;
+  }
+  return false;
+}
 
 Radio::Radio(Channel& channel, NodeId id, Position position,
              HardwareProfile hw, PowerDbm tx_power)

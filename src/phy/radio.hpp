@@ -9,7 +9,9 @@
 
 #include "common/ids.hpp"
 #include "common/units.hpp"
+#include "phy/config.hpp"
 #include "phy/hardware.hpp"
+#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace fourbit::phy {
@@ -18,14 +20,16 @@ class Channel;
 
 /// Physical-layer metadata delivered alongside every received frame.
 ///
-/// `white` is the paper's physical-layer bit: set iff every symbol of the
-/// packet had a very low probability of decoding error (here: the LQI
-/// reading cleared the configured threshold).
+/// lqi() and white() are evaluated when a layer first reads them, at most
+/// once per delivery. A clean delivery carries what they are made of: the
+/// thermal-only SNR, the LQI measurement noise the channel drew from its
+/// `lqi` stream in delivery order (drawn, not evaluated), and the white-bit
+/// rule. Most receptions — acks, overheard unicasts, LPL duplicates — are
+/// dropped without a look, and skip the LQI math; the draw itself is
+/// taken either way, so whether a layer reads a value moves no stream.
 struct RxInfo {
   PowerDbm rssi;
-  double snr_db = 0.0;
-  int lqi = 0;
-  bool white = false;
+  double snr_db = 0.0;  // thermal-only SNR
 
   /// False for frames the radio heard but could not decode cleanly (the
   /// channel's corrupt deliveries); the MAC drops them.
@@ -37,6 +41,45 @@ struct RxInfo {
   /// clean receiver; corrupt deliveries leave it false. The MAC drops
   /// frames without it, so it only means something for MAC-framed bytes.
   bool crc_ok = false;
+
+  /// No reception: lqi() reads 0 and white() false.
+  RxInfo() = default;
+
+  /// A clean reception: its LQI is LqiModel::reading(snr_db, the value
+  /// of `lqi_noise`), and its white bit is `white_rule` applied to that
+  /// reading or to snr_db.
+  RxInfo(PowerDbm rx_power, double thermal_snr_db,
+         sim::Rng::NormalDraw lqi_noise, WhiteBitRule white_rule)
+      : rssi(rx_power),
+        snr_db(thermal_snr_db),
+        lqi_noise_(lqi_noise),
+        white_rule_(white_rule),
+        lqi_(kUnread) {}
+
+  /// A frame heard but not decoded (fcs_ok false): LQI at the floor of
+  /// its range, never white.
+  [[nodiscard]] static RxInfo corrupt(PowerDbm rx_power,
+                                      double thermal_snr_db);
+
+  /// The CC2420-style LQI reading (LqiModel::kMinLqi..kMaxLqi).
+  [[nodiscard]] int lqi() const {
+    if (lqi_ == kUnread) lqi_ = evaluate_lqi();
+    return lqi_;
+  }
+
+  /// The paper's physical-layer bit: set iff every symbol of the packet
+  /// had a very low probability of decoding error (by default: the LQI
+  /// reading cleared the configured threshold).
+  [[nodiscard]] bool white() const;
+
+ private:
+  static constexpr int kUnread = -1;
+  [[nodiscard]] int evaluate_lqi() const;
+
+  sim::Rng::NormalDraw lqi_noise_;
+  WhiteBitRule white_rule_;
+  // The reading; kUnread on a clean reception until its first lqi().
+  mutable int lqi_ = 0;
 };
 
 /// Half-duplex radio. Owns no protocol state; the MAC drives it.

@@ -67,21 +67,6 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
-  // Box-Muller; u1 in (0,1] so log() is finite.
-  const double u1 = 1.0 - uniform();
-  const double u2 = uniform();
-  const double r = detail::box_muller_radius(u1);
-  const double theta = detail::box_muller_theta(u2);
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
-}
-
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

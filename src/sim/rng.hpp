@@ -39,6 +39,13 @@ inline double box_muller_radius(double u1) {
 inline double box_muller_theta(double u2) {
   return 2.0 * std::numbers::pi * u2;
 }
+/// The Box–Muller pair of (u1, u2): its cosine variate, or with `sine`
+/// its sine variate.
+inline double box_muller(double u1, double u2, bool sine) {
+  const double r = box_muller_radius(u1);
+  const double theta = box_muller_theta(u2);
+  return r * (sine ? std::sin(theta) : std::cos(theta));
+}
 
 }  // namespace detail
 
@@ -63,8 +70,35 @@ class Rng {
   /// true with probability p (clamped to [0,1]).
   bool bernoulli(double p);
 
-  /// Standard normal via Box-Muller (cached second variate).
-  double normal();
+  /// A standard normal variate, drawn but not yet evaluated: the two
+  /// uniforms of its Box–Muller pair and which half of the pair it is.
+  /// value() is a pure function of the three, so a draw may be
+  /// evaluated late, twice or never without moving the stream.
+  struct NormalDraw {
+    double u1 = 1.0;  // in (0, 1]; the default draw's value is 0
+    double u2 = 0.0;
+    bool sine = false;  // the pair's second variate
+    [[nodiscard]] double value() const {
+      return detail::box_muller(u1, u2, sine);
+    }
+  };
+
+  /// Takes normal()'s next variate from the stream without evaluating
+  /// it: two uniforms on the first half of a pair, none on the second.
+  NormalDraw normal_draw() {
+    if (pending_u1_ != 0.0) {
+      const NormalDraw sine{pending_u1_, pending_u2_, true};
+      pending_u1_ = 0.0;
+      return sine;
+    }
+    // u1 in (0, 1] so log() is finite.
+    pending_u1_ = 1.0 - uniform();
+    pending_u2_ = uniform();
+    return {pending_u1_, pending_u2_, false};
+  }
+
+  /// Standard normal via Box-Muller: normal_draw(), evaluated.
+  double normal() { return normal_draw().value(); }
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
@@ -113,8 +147,13 @@ class Rng {
   }
 
   std::uint64_t state_[4];
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
+  // The uniforms of the pair whose sine variate normal_draw() hands out
+  // next; pending_u1_ is 0, which no drawn u1 is, when there is none.
+  double pending_u1_ = 0.0;
+  double pending_u2_ = 0.0;
 };
+// Per-node state embeds an Rng (burst chains, MACs, estimators): the
+// pending pair takes the space the cached variate and its flag took.
+static_assert(sizeof(Rng) == 48);
 
 }  // namespace fourbit::sim

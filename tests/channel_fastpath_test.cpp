@@ -17,12 +17,14 @@
 #include "phy/channel.hpp"
 #include "phy/hardware.hpp"
 #include "phy/interference.hpp"
+#include "phy/lqi.hpp"
 #include "phy/radio.hpp"
 #include "runner/campaign.hpp"
 #include "runner/experiment.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topology/topology.hpp"
+#include "eager_normal.hpp"
 
 namespace fourbit {
 namespace {
@@ -54,8 +56,8 @@ struct DeliveryDigest {
     mix_bytes(frame.data(), frame.size());
     mix(info.rssi.value());
     mix(info.snr_db);
-    mix(static_cast<std::uint64_t>(info.lqi));
-    mix(static_cast<std::uint64_t>(info.white ? 1 : 0));
+    mix(static_cast<std::uint64_t>(info.lqi()));
+    mix(static_cast<std::uint64_t>(info.white() ? 1 : 0));
     mix(static_cast<std::uint64_t>(info.fcs_ok ? 1 : 0));
   }
 };
@@ -545,6 +547,113 @@ TEST(ChannelFastPathTest, ActiveTxPoolSurvivesChurn) {
   q.run_rounds(25);
   EXPECT_EQ(p.deliveries, q.deliveries);
   EXPECT_EQ(p.digest.h, q.digest.h);
+}
+
+// ---- deferred LQI: a read evaluates the draw taken at delivery --------
+
+/// One clean delivery as its receiver saw it.
+struct CleanRx {
+  double snr_db = 0.0;
+  bool read = false;  // the receiver read white(), then lqi() twice
+  bool white = false;
+  int lqi_first = 0;
+  int lqi_second = 0;
+};
+
+/// 30 radios on a 40 m grid (thermal SNRs from about -8 dB to 20 dB, so
+/// readings span the LQI ramp) send 40-byte frames in staggered,
+/// overlapping rounds; a seeded 30 % are beacons (first byte 0xBE). With
+/// `read_all` every clean delivery is read; otherwise every beacon and a
+/// seeded third of the rest, and the others are dropped unread.
+std::vector<CleanRx> run_lqi_reads(std::uint64_t seed, bool read_all) {
+  constexpr std::uint8_t kBeacon = 0xBE;
+  sim::Simulator sim;
+  phy::Channel channel{sim, phy::PhyConfig{}, phy::PropagationConfig{},
+                       std::make_unique<phy::NullInterference>(),
+                       sim::Rng{seed}};
+  sim::Rng traffic{seed ^ 0x7AFF1CULL};
+  sim::Rng reader{seed ^ 0x4EADULL};
+  std::vector<CleanRx> out;
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  for (std::size_t i = 0; i < 30; ++i) {
+    radios.push_back(std::make_unique<phy::Radio>(
+        channel, NodeId{static_cast<std::uint16_t>(i + 1)},
+        Position{static_cast<double>(i % 6) * 40.0,
+                 static_cast<double>(i / 6) * 40.0},
+        phy::HardwareProfile{}, PowerDbm{0.0}));
+    radios.back()->set_rx_handler(
+        [&](std::span<const std::uint8_t> frame, const phy::RxInfo& info) {
+          if (!info.fcs_ok) return;  // corrupt: no LQI draw to check
+          CleanRx rx;
+          rx.snr_db = info.snr_db;
+          rx.read =
+              read_all || frame[0] == kBeacon || reader.bernoulli(1.0 / 3.0);
+          if (rx.read) {
+            rx.white = info.white();
+            rx.lqi_first = info.lqi();
+            rx.lqi_second = info.lqi();
+          }
+          out.push_back(rx);
+        });
+  }
+  for (int round = 0; round < 20; ++round) {
+    for (std::size_t i = 0; i < radios.size(); ++i) {
+      phy::Radio* r = radios[i].get();
+      const auto stagger =
+          sim::Duration::from_us(static_cast<std::int64_t>(i) * 700);
+      sim.schedule_at(sim.now() + stagger, [&, r] {
+        if (r->transmitting()) return;
+        std::vector<std::uint8_t> frame(40, 0xDA);
+        if (traffic.bernoulli(0.3)) frame[0] = kBeacon;
+        r->transmit(frame, nullptr);
+      });
+    }
+    sim.run();
+  }
+  return out;
+}
+
+TEST(ChannelLqiTest, ReadsMatchAllReadingTwinAndDeliveryOrderReference) {
+  // The channel draws every clean delivery's LQI noise from its `lqi`
+  // stream in delivery order, read or not, and a read evaluates that
+  // draw, once. So the values a radio reads on a subset of deliveries
+  // equal an all-reading twin's at the same positions, and both equal
+  // LqiModel::sample fed from a fresh `lqi` fork one clean delivery at a
+  // time, and the same reading over an eager Box–Muller of that fork.
+  const int threshold = phy::PhyConfig{}.white_bit_lqi_threshold;
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    const std::vector<CleanRx> some = run_lqi_reads(seed, false);
+    const std::vector<CleanRx> all = run_lqi_reads(seed, true);
+    ASSERT_EQ(some.size(), all.size()) << "seed " << seed;
+    sim::Rng reference = sim::Rng{seed}.fork("lqi");
+    test_support::EagerNormal eager{sim::Rng{seed}.fork("lqi")};
+    std::size_t read = 0;
+    std::size_t on_ramp = 0;
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      ASSERT_EQ(some[i].snr_db, all[i].snr_db) << "seed " << seed << " #" << i;
+      const int expected = phy::LqiModel::sample(all[i].snr_db, reference);
+      ASSERT_EQ(expected, phy::LqiModel::reading(all[i].snr_db, eager.next()))
+          << "seed " << seed << " #" << i;
+      for (const CleanRx* rx : {&all[i], &some[i]}) {
+        if (!rx->read) continue;
+        ASSERT_EQ(rx->lqi_first, expected) << "seed " << seed << " #" << i;
+        ASSERT_EQ(rx->lqi_second, expected) << "seed " << seed << " #" << i;
+        ASSERT_EQ(rx->white, expected >= threshold)
+            << "seed " << seed << " #" << i;
+      }
+      if (some[i].read) ++read;
+      if (expected > phy::LqiModel::kMinLqi &&
+          expected < phy::LqiModel::kMaxLqi) {
+        ++on_ramp;
+      }
+    }
+    // The check bites only if many deliveries go unread and readings are
+    // off the clamps, where a shifted or swapped draw changes the value.
+    EXPECT_GT(all.size(), 1000u) << "seed " << seed;
+    EXPECT_GT(read, all.size() / 3) << "seed " << seed;
+    EXPECT_LT(read, all.size() * 2 / 3) << "seed " << seed;
+    EXPECT_GT(on_ramp, all.size() / 4) << "seed " << seed;
+  }
 }
 
 // ---- experiment / campaign equivalence ---------------------------------

@@ -64,8 +64,8 @@ struct DeliveryDigest {
     mix_bytes(frame.data(), frame.size());
     mix(info.rssi.value());
     mix(info.snr_db);
-    mix(static_cast<std::uint64_t>(info.lqi));
-    mix(static_cast<std::uint64_t>(info.white ? 1 : 0));
+    mix(static_cast<std::uint64_t>(info.lqi()));
+    mix(static_cast<std::uint64_t>(info.white() ? 1 : 0));
     mix(static_cast<std::uint64_t>(info.fcs_ok ? 1 : 0));
   }
 };

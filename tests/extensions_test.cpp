@@ -188,7 +188,7 @@ TEST(WhiteBitTest, SnrSourceThresholds) {
                   PowerDbm{0.0}};
   bool white = false;
   near.set_rx_handler([&](std::span<const std::uint8_t>,
-                          const phy::RxInfo& info) { white = info.white; });
+                          const phy::RxInfo& info) { white = info.white(); });
   a.transmit(std::vector<std::uint8_t>(10, 1), nullptr);
   sim.run();
   EXPECT_TRUE(white) << "close link far above 3 dB must be white";
@@ -211,7 +211,7 @@ TEST(WhiteBitTest, NeverSourceNeverSets) {
   bool any_white = false;
   b.set_rx_handler([&](std::span<const std::uint8_t>,
                        const phy::RxInfo& info) {
-    any_white = any_white || info.white;
+    any_white = any_white || info.white();
   });
   for (int i = 0; i < 10; ++i) {
     a.transmit(std::vector<std::uint8_t>(10, 1), nullptr);

@@ -146,6 +146,38 @@ TEST(LqiTest, SampleMeanNearModel) {
   EXPECT_NEAR(sum / n, LqiModel::mean_lqi(2.0), 0.3);
 }
 
+TEST(LqiTest, ReadingOfTheNextNormalIsSample) {
+  // reading(snr, z) is the one LQI formula; sample() feeds it the
+  // stream's next normal, so the two agree draw for draw across the ramp
+  // and past both clamps.
+  sim::Rng a{11};
+  sim::Rng b{11};
+  for (int i = 0; i < 20'000; ++i) {
+    const double snr = -12.0 + 0.001 * i;
+    ASSERT_EQ(LqiModel::reading(snr, a.normal()), LqiModel::sample(snr, b))
+        << "snr " << snr;
+  }
+}
+
+TEST(RxInfoTest, DefaultAndCorruptReadings) {
+  const RxInfo none;
+  EXPECT_EQ(none.lqi(), 0);
+  EXPECT_FALSE(none.white());
+  // A corrupt frame reads the bottom of the range and is never white,
+  // even under an SNR rule its SNR would pass.
+  const RxInfo corrupt = RxInfo::corrupt(PowerDbm{-60.0}, 40.0);
+  EXPECT_FALSE(corrupt.fcs_ok);
+  EXPECT_EQ(corrupt.lqi(), LqiModel::kMinLqi);
+  EXPECT_FALSE(corrupt.white());
+  // A clean reception applies its rule when read.
+  PhyConfig phy;
+  phy.white_bit_source = PhyConfig::WhiteBitSource::kSnr;
+  const RxInfo by_snr{PowerDbm{-60.0}, 3.5, sim::Rng::NormalDraw{},
+                      WhiteBitRule::of(phy)};
+  EXPECT_TRUE(by_snr.white());
+  EXPECT_EQ(by_snr.lqi(), LqiModel::reading(3.5, 0.0));
+}
+
 // ---- PropagationModel -----------------------------------------------------------
 
 // Bit pattern of a double: the propagation tests compare exact bits,
@@ -517,8 +549,8 @@ TEST_F(ChannelFixture, CloseRadiosAlwaysDeliver) {
   }
   EXPECT_EQ(received, 20);
   EXPECT_GT(last_info.snr_db, 10.0);
-  EXPECT_TRUE(last_info.white);  // clean channel -> white bit set
-  EXPECT_GE(last_info.lqi, 105);
+  EXPECT_TRUE(last_info.white());  // clean channel -> white bit set
+  EXPECT_GE(last_info.lqi(), 105);
 }
 
 TEST_F(ChannelFixture, FarRadiosNeverDeliver) {
@@ -670,7 +702,7 @@ TEST(ChannelBurstTest, BurstDestroysWithoutLqiTrace) {
   b.set_rx_handler([&](std::span<const std::uint8_t>, const RxInfo& info) {
     if (!info.fcs_ok) return;  // the MAC would drop these
     ++received;
-    min_lqi = std::min(min_lqi, info.lqi);
+    min_lqi = std::min(min_lqi, info.lqi());
   });
   // 5 packets during the burst: all destroyed.
   for (int i = 0; i < 5; ++i) {

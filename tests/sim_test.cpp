@@ -18,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "sim/timer.hpp"
+#include "eager_normal.hpp"
 
 namespace fourbit::sim {
 namespace {
@@ -651,6 +652,72 @@ TEST(RngTest, ForkNormalUniformsMatchForkedChildBitwise) {
             << "seed " << seed << " advance " << advance << " key " << key;
       }
       (void)parent.next_u64();
+    }
+  }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(RngTest, DeferredNormalsMatchNormalBitForBit) {
+  // normal_draw() takes a variate from the stream and value() evaluates
+  // it: the same double normal() returns at that position, and the one
+  // an eagerly written Box–Muller over uniform() computes, whenever and
+  // however often the draw is evaluated.
+  constexpr int kDraws = 100'000;
+  Rng deferred{2024};
+  Rng twin{2024};
+  test_support::EagerNormal eager{Rng{2024}};
+  std::vector<Rng::NormalDraw> draws;
+  std::vector<double> expected;
+  for (int i = 0; i < kDraws; ++i) {
+    draws.push_back(deferred.normal_draw());
+    expected.push_back(twin.normal());
+    ASSERT_EQ(bits(expected.back()), bits(eager.next())) << "draw " << i;
+  }
+  for (int i = 0; i < kDraws; ++i) {  // in order
+    ASSERT_EQ(bits(draws[i].value()), bits(expected[i])) << "draw " << i;
+  }
+  for (int i = kDraws - 1; i >= 0; --i) {  // out of order, a second time
+    ASSERT_EQ(bits(draws[i].value()), bits(expected[i])) << "draw " << i;
+  }
+  // Every other draw never evaluated: the rest still read their
+  // position's value, evaluated as they are drawn.
+  Rng sparse{2024};
+  for (int i = 0; i < kDraws; ++i) {
+    const Rng::NormalDraw d = sparse.normal_draw();
+    if (i % 2 == 1) {
+      ASSERT_EQ(bits(d.value()), bits(expected[i])) << "draw " << i;
+    }
+  }
+}
+
+TEST(RngTest, DeferredDrawsLeaveTheStreamWhereNormalWould) {
+  // After any mix of normal() calls and draws evaluated or never
+  // evaluated, the stream continues exactly as a twin's that called
+  // normal() as often: the same next normal (the pending sine half after
+  // an odd count), raw outputs and forks.
+  Rng mix{5};
+  for (const int count : {0, 1, 2, 3, 7, 10, 1001}) {
+    for (int round = 0; round < 4; ++round) {
+      Rng deferred{99};
+      Rng twin{99};
+      for (int i = 0; i < count; ++i) {
+        const auto how = mix.uniform_int(3);
+        if (how == 0) {
+          (void)deferred.normal();
+        } else {
+          const Rng::NormalDraw d = deferred.normal_draw();
+          if (how == 1) (void)d.value();
+        }
+        (void)twin.normal();
+      }
+      for (int k = 0; k < 5; ++k) {
+        ASSERT_EQ(bits(deferred.normal()), bits(twin.normal()))
+            << "count " << count << " round " << round << " k " << k;
+      }
+      ASSERT_EQ(deferred.next_u64(), twin.next_u64()) << "count " << count;
+      ASSERT_EQ(deferred.fork("x").next_u64(), twin.fork("x").next_u64())
+          << "count " << count;
     }
   }
 }
