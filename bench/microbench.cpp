@@ -240,6 +240,83 @@ void BM_RouteSnoopUnchanged(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteSnoopUnchanged);
 
+// Beacons from 30 peers into a 10-entry 4B table, estimator unwrap
+// included. Peers outside the table leave a route too, so the route table
+// passes the link table size + 4 every few beacons and the beacon handler
+// trims it; every fourth beacon carries the white bit, so admissions
+// evict and reorder the table as well.
+void BM_RouteBeaconTrim(benchmark::State& state) {
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
+  sim::Simulator sim;
+  net::RoutingEngine routing{sim, NodeId{100}, false, est,
+                             net::CollectionConfig{}, sim::Rng{1}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  std::vector<std::vector<std::uint8_t>> wires;  // [seq][routing payload]
+  for (std::uint16_t n = 1; n <= 30; ++n) {
+    net::RoutingBeacon b;
+    b.parent = NodeId{0};
+    b.path_etx = route_cost_of(n);
+    std::vector<std::uint8_t> wire{0};
+    const auto payload = b.encode();
+    wire.insert(wire.end(), payload.begin(), payload.end());
+    wires.push_back(std::move(wire));
+  }
+  std::uint64_t k = 0;
+  const auto beacon = [&] {
+    std::vector<std::uint8_t>& wire = wires[k % 30];
+    const NodeId from{static_cast<std::uint16_t>(k % 30 + 1)};
+    ++wire[0];
+    const link::PacketPhyInfo info{.white = k % 4 == 0, .lqi = 108};
+    if (const auto routed = est.unwrap_beacon(from, wire, info)) {
+      routing.on_beacon(from, *routed);
+    }
+    ++k;
+  };
+  for (int i = 0; i < 90; ++i) beacon();
+  if (routing.route_table().size() > est.table_size() + 4) {
+    state.SkipWithError("the beacons did not trim the route table");
+    return;
+  }
+  for (auto _ : state) beacon();
+  benchmark::DoNotOptimize(routing.parent());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouteBeaconTrim);
+
+// Snooped data frames from neighbors with no route held, on a warmed 4B
+// engine (10 links, parent 1): each adds a route. After every fifth, a
+// beacon from table node 1 trims the five again (15 routes > 10 + 4), so
+// the timing includes one beacon and its trim per five snoops.
+void BM_RouteSnoopNewNeighbor(benchmark::State& state) {
+  core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
+  sim::Simulator sim;
+  net::RoutingEngine routing{sim, NodeId{100}, false, est,
+                             net::CollectionConfig{}, sim::Rng{1}};
+  if (!warm_route_engine(state, est, routing)) return;
+  net::RoutingBeacon b;
+  b.parent = NodeId{0};
+  b.path_etx = route_cost_of(1);
+  const std::vector<std::uint8_t> beacon_of_1 = b.encode();
+  std::uint16_t n = 0;
+  const auto snoop = [&] {
+    routing.on_snooped_cost(NodeId{static_cast<std::uint16_t>(200 + n)},
+                            2.0);
+    if (++n == 5) {
+      routing.on_beacon(NodeId{1}, beacon_of_1);
+      n = 0;
+    }
+  };
+  for (int i = 0; i < 5; ++i) snoop();  // the first trim drops 11..14
+  for (auto _ : state) snoop();
+  benchmark::DoNotOptimize(routing.parent());
+  if (routing.route_table().size() != 10u + n) {
+    state.SkipWithError("the beacons did not trim the new routes");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouteSnoopNewNeighbor);
+
 void BM_MacFrameRoundTrip(benchmark::State& state) {
   mac::MacFrame f;
   f.type = mac::FrameType::kData;

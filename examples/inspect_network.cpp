@@ -86,10 +86,10 @@ int main(int argc, char** argv) {
                 node.routing().path_etx());
     for (const NodeId n : node.estimator().neighbors()) {
       const auto etx = node.estimator().etx(n);
-      const auto* route = node.routing().route(n);
+      const auto route = node.routing().route(n);
       std::printf("  nbr %5u: link-etx=%-8s route=%s\n", n.value(),
                   etx ? std::to_string(*etx).substr(0, 6).c_str() : "-",
-                  route != nullptr
+                  route.has_value()
                       ? (std::string("parent=") +
                          std::to_string(route->parent.value()) +
                          " cost=" + std::to_string(route->path_etx))

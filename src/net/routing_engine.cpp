@@ -1,6 +1,7 @@
 #include "net/routing_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -56,6 +57,9 @@ void RoutingEngine::crash() {
   route_timer_.stop();
   started_ = false;
   routes_.clear();
+  std::fill(route_index_.begin(), route_index_.end(), kNone);
+  for (TableLink& l : table_links_) l.route = kNone;
+  unrouted_ = static_cast<Pos>(table_links_.size());
   parent_ = kInvalidNodeId;
   my_cost_ = is_root_ ? 0.0 : config_.max_path_etx;
   settled_ = false;
@@ -115,15 +119,62 @@ bool RoutingEngine::has_route() const {
          (parent_ != kInvalidNodeId && my_cost_ < config_.max_path_etx);
 }
 
-const RoutingEngine::NeighborRoute* RoutingEngine::route(NodeId n) const {
-  for (const RouteEntry& r : routes_) {
-    if (r.node == n) return &r.route;
+std::vector<RoutingEngine::RouteEntry> RoutingEngine::route_table() const {
+  std::vector<RouteEntry> table;
+  for (const HeldRoute& r : routes_) {
+    table.push_back(RouteEntry{r.node, r.route()});
   }
-  return nullptr;
+  return table;
 }
 
-RoutingEngine::NeighborRoute* RoutingEngine::find_route(NodeId n) {
-  return const_cast<NeighborRoute*>(std::as_const(*this).route(n));
+std::optional<RoutingEngine::NeighborRoute> RoutingEngine::route(
+    NodeId n) const {
+  const Pos j = find_route(n);
+  if (j == kNone) return std::nullopt;
+  return routes_[j].route();
+}
+
+namespace {
+
+std::size_t home_slot(NodeId n, int shift) {
+  return (n.value() * 0x9E3779B1u) >> shift;
+}
+
+}  // namespace
+
+std::size_t RoutingEngine::index_slot(NodeId n) const {
+  const std::size_t mask = route_index_.size() - 1;
+  for (std::size_t i = home_slot(n, index_shift_);; i = (i + 1) & mask) {
+    const Pos j = route_index_[i];
+    if (j == kNone || routes_[j].node == n) return i;
+  }
+}
+
+void RoutingEngine::index_insert(Pos j) {
+  if (2 * routes_.size() <= route_index_.size()) {
+    route_index_[index_slot(routes_[j].node)] = j;
+    return;
+  }
+  route_index_.resize(std::max<std::size_t>(16, 2 * route_index_.size()));
+  index_shift_ =
+      static_cast<std::uint8_t>(32 - std::countr_zero(route_index_.size()));
+  rebuild_index();
+}
+
+void RoutingEngine::rebuild_index() {
+  std::fill(route_index_.begin(), route_index_.end(), kNone);
+  for (std::size_t j = 0; j < routes_.size(); ++j) {
+    route_index_[index_slot(routes_[j].node)] = static_cast<Pos>(j);
+  }
+}
+
+void RoutingEngine::link(Pos k, Pos j) {
+  table_links_[k].route = j;
+  if (j != kNone) {
+    routes_[j].slot = k;
+  } else {
+    ++unrouted_;
+  }
 }
 
 void RoutingEngine::read_link_table() {
@@ -132,13 +183,42 @@ void RoutingEngine::read_link_table() {
   const std::uint64_t version = estimator_.version();
   if (version == estimates_version_) return;
   estimator_.link_estimates(estimates_);
-  route_hint_.resize(estimates_.size());
   estimates_version_ = version;
+  FOURBIT_ASSERT(estimates_.size() < kNone, "link table too large");
+  // Relink the positions whose node changed; a move that only changed
+  // estimates changes none. Unlink them all first, so that a node that
+  // only changed position is relinked from a clean state.
+  const std::size_t old_size = table_links_.size();
+  const std::size_t size = estimates_.size();
+  for (std::size_t k = 0; k < old_size; ++k) {
+    if (k < size && table_links_[k].node == estimates_[k].node) continue;
+    if (table_links_[k].route != kNone) {
+      routes_[table_links_[k].route].slot = kNone;
+    } else {
+      --unrouted_;
+    }
+  }
+  table_links_.resize(size);
+  for (std::size_t k = 0; k < size; ++k) {
+    const NodeId n = estimates_[k].node;
+    if (k < old_size && table_links_[k].node == n) continue;
+    // The table erases by shifting the rest down, so a node that moved is
+    // mostly the one the next old entry linked.
+    const Pos j = k + 1 < old_size && table_links_[k + 1].node == n
+                      ? table_links_[k + 1].route
+                      : find_route(n);
+    table_links_[k].node = n;
+    link(static_cast<Pos>(k), j);
+  }
 }
 
-void RoutingEngine::note_route_update(NodeId n, const NeighborRoute* before,
+void RoutingEngine::note_route_update(NodeId n, bool in_table,
+                                      const HeldRoute* before,
                                       const NeighborRoute& after) {
-  if (!settled_) return;
+  // Routes of nodes outside the link table are never read. The flag
+  // describes estimates_, which holds the settled pass's table unless the
+  // version has moved since, and then the next update runs a pass anyway.
+  if (!settled_ || !in_table) return;
   // Same parent and cost, heard again while still fresh (or the parent,
   // which never expires): the settled pass counted this route exactly as
   // the next one would. Re-hearing a stale route revives a candidate.
@@ -148,52 +228,78 @@ void RoutingEngine::note_route_update(NodeId n, const NeighborRoute* before,
        sim_.now() - before->last_heard <= config_.route_expiry)) {
     return;
   }
-  // Routes of nodes outside the link table are never read. estimates_
-  // holds the settled pass's table unless the version has moved since,
-  // and then the next update runs a pass anyway.
-  if (std::any_of(estimates_.begin(), estimates_.end(),
-                  [n](const link::LinkEstimate& l) { return l.node == n; })) {
-    settled_ = false;
-  }
+  settled_ = false;
 }
 
-const RoutingEngine::NeighborRoute* RoutingEngine::entry_route(
-    std::size_t k) {
-  const NodeId n = estimates_[k].node;
-  std::uint32_t& hint = route_hint_[k];
-  // routes_ holds at most one entry per node, so a hit here is the entry
-  // the search below would find.
-  if (hint < routes_.size() && routes_[hint].node == n) {
-    return &routes_[hint].route;
+void RoutingEngine::store_route(NodeId n, Pos j,
+                                const NeighborRoute& heard) {
+  if (j != kNone) {
+    HeldRoute& r = routes_[j];
+    note_route_update(n, r.slot != kNone, &r, heard);
+    r.parent = heard.parent;
+    r.path_etx = heard.path_etx;
+    r.last_heard = heard.last_heard;
+    return;
   }
-  for (std::size_t j = 0; j < routes_.size(); ++j) {
-    if (routes_[j].node == n) {
-      hint = static_cast<std::uint32_t>(j);
-      return &routes_[j].route;
+  // A new route. If the table holds n, its entry is one without a route.
+  FOURBIT_ASSERT(routes_.size() < kNone, "route table too large");
+  j = static_cast<Pos>(routes_.size());
+  routes_.push_back(
+      HeldRoute{n, heard.parent, kNone, heard.path_etx, heard.last_heard});
+  index_insert(j);
+  for (std::size_t k = 0; unrouted_ > 0 && k < table_links_.size(); ++k) {
+    if (table_links_[k].route == kNone && table_links_[k].node == n) {
+      --unrouted_;
+      link(static_cast<Pos>(k), j);
+      break;
     }
   }
-  return nullptr;
+  note_route_update(n, routes_[j].slot != kNone, nullptr, heard);
 }
 
-std::optional<double> RoutingEngine::total_cost(std::size_t k) {
+void RoutingEngine::erase_route(Pos j) {
+  if (routes_[j].slot != kNone) link(routes_[j].slot, kNone);
+  const auto last = static_cast<Pos>(routes_.size() - 1);
+  if (j != last) {
+    routes_[j] = routes_[last];
+    if (routes_[j].slot != kNone) table_links_[routes_[j].slot].route = j;
+  }
+  routes_.pop_back();
+  rebuild_index();
+}
+
+void RoutingEngine::trim_routes() {
+  // Keep the routes of table nodes, in order, and index them afresh.
+  Pos kept = 0;
+  for (const HeldRoute& r : routes_) {
+    if (r.slot == kNone) continue;
+    routes_[kept] = r;
+    table_links_[r.slot].route = kept;
+    ++kept;
+  }
+  routes_.resize(kept);
+  rebuild_index();
+}
+
+std::optional<double> RoutingEngine::total_cost(std::size_t k) const {
   const link::LinkEstimate& link = estimates_[k];
-  if (!link.has_etx) return std::nullopt;
-  const NeighborRoute* r = entry_route(k);
-  if (r == nullptr) return std::nullopt;
+  const Pos j = table_links_[k].route;
+  if (!link.has_etx || j == kNone) return std::nullopt;
+  const HeldRoute& r = routes_[j];
   // A neighbor routing through us would form a loop; a neighbor without a
   // route is useless; a stale advertisement cannot be trusted (stale
   // costs are what keep count-to-infinity loops alive).
-  if (r->parent == self_) return std::nullopt;
-  if (r->path_etx >= config_.max_path_etx) return std::nullopt;
+  if (r.parent == self_) return std::nullopt;
+  if (r.path_etx >= config_.max_path_etx) return std::nullopt;
   // Stale advertisements are rejected for *candidates* (stale costs are
   // what keep count-to-infinity loops alive) but not for the current
   // parent: that link is being validated continuously by datapath acks,
   // and beacons in steady state arrive at multi-minute Trickle intervals.
   if (link.node != parent_ &&
-      sim_.now() - r->last_heard > config_.route_expiry) {
+      sim_.now() - r.last_heard > config_.route_expiry) {
     return std::nullopt;
   }
-  return r->path_etx + link.etx;
+  return r.path_etx + link.etx;
 }
 
 void RoutingEngine::on_beacon(NodeId from,
@@ -201,13 +307,7 @@ void RoutingEngine::on_beacon(NodeId from,
   const auto beacon = RoutingBeacon::decode(payload);
   if (!beacon.has_value()) return;
   const NeighborRoute heard{beacon->parent, beacon->path_etx, sim_.now()};
-  NeighborRoute* r = find_route(from);
-  note_route_update(from, r, heard);
-  if (r != nullptr) {
-    *r = heard;
-  } else {
-    routes_.push_back(RouteEntry{from, heard});
-  }
+  store_route(from, find_route(from), heard);
 
   // The pull bit: a neighbor is starving for routing state; advertise
   // ours quickly (rate-limited like every other Trickle reset).
@@ -221,29 +321,19 @@ void RoutingEngine::on_beacon(NodeId from,
   // belong to nodes outside the link table, which parent selection never
   // reads.
   read_link_table();
-  if (routes_.size() > estimates_.size() + 4) {
-    std::erase_if(routes_, [&](const RouteEntry& r) {
-      return std::none_of(
-          estimates_.begin(), estimates_.end(),
-          [&](const link::LinkEstimate& l) { return l.node == r.node; });
-    });
-  }
+  if (routes_.size() > estimates_.size() + 4) trim_routes();
 
   update_route();
 }
 
 void RoutingEngine::on_snooped_cost(NodeId from, double path_etx) {
-  NeighborRoute* r = find_route(from);
+  const Pos j = find_route(from);
   // Refresh the cost and the staleness clock; the advertised parent is
   // whatever the last beacon said.
-  const NeighborRoute heard{r != nullptr ? r->parent : kInvalidNodeId,
-                            path_etx, sim_.now()};
-  note_route_update(from, r, heard);
-  if (r != nullptr) {
-    *r = heard;
-  } else {
-    routes_.push_back(RouteEntry{from, heard});
-  }
+  const NeighborRoute heard{
+      j != kNone ? routes_[j].parent : kInvalidNodeId, path_etx,
+      sim_.now()};
+  store_route(from, j, heard);
   update_route();
 }
 
@@ -386,8 +476,9 @@ void RoutingEngine::evict_parent() {
     estimator_.unpin(dead);
     (void)estimator_.remove(dead);
   }
-  std::erase_if(routes_,
-                [dead](const RouteEntry& r) { return r.node == dead; });
+  if (const Pos j = find_route(dead); j != kNone) {
+    erase_route(j);
+  }
   // The node has been wedged since the streak's first failed delivery;
   // report the route as lost from that moment so time-to-reroute covers
   // detection, not just the post-eviction search.

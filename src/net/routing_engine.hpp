@@ -100,17 +100,16 @@ class RoutingEngine final : public link::CompareProvider {
     NodeId node;
     NeighborRoute route;
   };
-  /// One entry per neighbor heard from, in no particular order. Snooped
-  /// frames may add entries between beacons; the beacon handler trims
-  /// the table back to nodes the estimator tracks once it exceeds the
-  /// link table size + 4. It stays small, so it is a flat vector; parent
-  /// selection finds each link-table entry's route by its last known
-  /// position and searches only when that misses.
-  [[nodiscard]] const std::vector<RouteEntry>& route_table() const {
-    return routes_;
-  }
-  /// `n`'s last advertised route, or null if none is held.
-  [[nodiscard]] const NeighborRoute* route(NodeId n) const;
+  /// A copy of the route table: one entry per neighbor heard from, in no
+  /// particular order. Snooped frames may add entries between beacons;
+  /// the beacon handler trims the table back to nodes the estimator
+  /// tracks once it exceeds the link table size + 4. The engine finds a
+  /// node's route through a small hash index and links each link-table
+  /// entry to its route and back, so parent selection, the compare bit
+  /// and the trim never search.
+  [[nodiscard]] std::vector<RouteEntry> route_table() const;
+  /// `n`'s last advertised route, or nullopt if none is held.
+  [[nodiscard]] std::optional<NeighborRoute> route(NodeId n) const;
 
   [[nodiscard]] std::uint64_t parent_changes() const {
     return parent_changes_;
@@ -139,9 +138,31 @@ class RoutingEngine final : public link::CompareProvider {
   void recompute_route();
   /// Brings estimates_ up to the estimator's version (no read if current).
   void read_link_table();
+
+  // A position in routes_ or in estimates_, or kNone.
+  using Pos = std::uint16_t;
+  static constexpr Pos kNone = 0xFFFF;
+
+  // One held route: the node's last advertised route, with the node and
+  // its position in estimates_ (kNone if the table does not hold it) in
+  // what would otherwise be padding.
+  struct HeldRoute {
+    NodeId node;
+    NodeId parent;
+    Pos slot = kNone;
+    double path_etx = 0.0;
+    sim::Time last_heard;
+
+    [[nodiscard]] NeighborRoute route() const {
+      return {parent, path_etx, last_heard};
+    }
+  };
+  static_assert(sizeof(HeldRoute) == 24);
+
   /// `n`'s route goes from `before` (null: none held) to `after`: clears
-  /// settled_ if the next pass could read the difference.
-  void note_route_update(NodeId n, const NeighborRoute* before,
+  /// settled_ if the next pass could read the difference. `in_table`: n
+  /// is in estimates_.
+  void note_route_update(NodeId n, bool in_table, const HeldRoute* before,
                          const NeighborRoute& after);
   void note_route_state();
   void evict_parent();
@@ -149,13 +170,32 @@ class RoutingEngine final : public link::CompareProvider {
   void reset_beacon_interval();
   void refresh_beacon_ceiling();
 
-  [[nodiscard]] NeighborRoute* find_route(NodeId n);
-  /// Route of link-table entry `k` (estimates_[k]), or null if none is
-  /// held: tries route_hint_[k] first, then searches and updates it.
-  [[nodiscard]] const NeighborRoute* entry_route(std::size_t k);
+  /// Position of `n`'s route in routes_, or kNone.
+  [[nodiscard]] Pos find_route(NodeId n) const {
+    return route_index_.empty() ? kNone : route_index_[index_slot(n)];
+  }
+  /// The slot of route_index_ that holds `n`'s route, or the empty slot
+  /// where it would go (route_index_ must not be empty).
+  [[nodiscard]] std::size_t index_slot(NodeId n) const;
+  /// Adds the route just appended at `j` to route_index_, growing the
+  /// index first if it would be more than half full.
+  void index_insert(Pos j);
+  /// Indexes every route afresh, after an erase moved some.
+  void rebuild_index();
+  /// Stores `heard` as `n`'s route (at position `j`, or appended if `j`
+  /// is kNone), noting the update for the skip state first.
+  void store_route(NodeId n, Pos j, const NeighborRoute& heard);
+  /// Erases the route at position `j` (the last route takes its place).
+  /// Only a parent eviction erases a single route, so the index is
+  /// rebuilt rather than kept up by backward shifts.
+  void erase_route(Pos j);
+  /// Drops every route whose node is not in estimates_.
+  void trim_routes();
+  /// Links the route at `j` (kNone: no route) and table entry `k`.
+  void link(Pos k, Pos j);
   /// Path cost through link-table entry `k`, or nullopt if that neighbor
   /// cannot be a parent (see the definition for the rules).
-  [[nodiscard]] std::optional<double> total_cost(std::size_t k);
+  [[nodiscard]] std::optional<double> total_cost(std::size_t k) const;
 
   sim::Simulator& sim_;
   NodeId self_;
@@ -166,31 +206,46 @@ class RoutingEngine final : public link::CompareProvider {
   stats::Metrics* metrics_;
   BeaconSender beacon_sender_;
 
-  std::vector<RouteEntry> routes_;
+  std::vector<HeldRoute> routes_;
+  // Open-addressed NodeId -> routes_ position map: linear probing from a
+  // multiplicative hash of the node, kNone in empty slots, rebuilt after
+  // an erase. At most half full, so a lookup mostly reads one slot and
+  // the route it names. Empty until the first route, then a power of two
+  // of at least 16 slots that only grows.
+  std::vector<Pos> route_index_;
   // The last bulk read of the link table (LinkEstimator::link_estimates),
   // reusing this buffer's capacity, and the estimator version it holds;
   // it is read again only once the version moves.
   std::vector<link::LinkEstimate> estimates_;
   std::uint64_t estimates_version_ = ~std::uint64_t{0};  // none read yet
-  // route_hint_[k]: where in routes_ the route of estimates_[k] was last
-  // found. Only trusted after checking the node there, so a hint left
-  // stale by an erase or a table reorder costs one search, nothing more.
-  std::vector<std::uint32_t> route_hint_;
+  // table_links_[k]: estimates_[k]'s node and the position of its route
+  // (kNone if none is held). It and the routes' slots mirror each other
+  // exactly; every change to routes_ or estimates_ fixes both.
+  struct TableLink {
+    NodeId node;
+    Pos route = kNone;
+  };
+  std::vector<TableLink> table_links_;
   NodeId parent_ = kInvalidNodeId;
-  double my_cost_;  // cached advertised cost
-
+  // Entries of table_links_ without a route, so that a new route looks
+  // for its table entry only when one can be missing.
+  Pos unrouted_ = 0;
+  // A node's home slot in route_index_: (node * golden) >> index_shift_.
+  std::uint8_t index_shift_ = 32;
+  bool started_ = false;
+  bool had_route_ = false;  // last route availability reported to metrics
   // Skip state for update_route: the last pass settled, at this
   // estimator version. Route changes the pass would read, parent
   // evictions and crashes clear it.
   bool settled_ = false;
   std::uint64_t settled_version_ = 0;
+  double my_cost_;  // cached advertised cost
   std::uint64_t selection_passes_ = 0;
 
   TrickleTimer trickle_;       // adaptive beaconing (BeaconTiming::kTrickle)
   sim::Timer fixed_timer_;     // fixed-interval beaconing (kFixed)
   sim::Timer route_timer_;
   sim::Time last_reset_;
-  bool started_ = false;
 
   std::uint64_t parent_changes_ = 0;
   std::uint64_t beacons_sent_ = 0;
@@ -201,7 +256,6 @@ class RoutingEngine final : public link::CompareProvider {
   int parent_failures_ = 0;
   sim::Time failure_streak_start_;
   std::uint64_t parent_evictions_ = 0;
-  bool had_route_ = false;  // last route availability reported to metrics
 };
 
 }  // namespace fourbit::net

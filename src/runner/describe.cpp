@@ -213,10 +213,10 @@ std::string describe(const CampaignReport& report) {
 
 namespace {
 
-/// `"name":{"n":...,"mean":...,...}` for one aggregate (no braces around
-/// the pair itself; callers join with commas).
-std::string aggregate_json(const char* name, const stats::Aggregate& a) {
-  return format("\"%s\":{\"n\":%zu,\"mean\":%.17g,\"stddev\":%.17g,"
+/// Appends `,"name":{"n":...,"mean":...,...}` for one aggregate.
+void append_aggregate(std::string& out, const char* name,
+                      const stats::Aggregate& a) {
+  out += format(",\"%s\":{\"n\":%zu,\"mean\":%.17g,\"stddev\":%.17g,"
                 "\"ci95_half\":%.17g,\"min\":%.17g,\"median\":%.17g,"
                 "\"max\":%.17g}",
                 name, a.n, a.mean, a.stddev, a.ci95_half, a.quartiles.min,
@@ -307,16 +307,15 @@ std::string describe_json(const CampaignSummary& summary) {
                 summary.failures_by_kind[0], summary.failures_by_kind[1],
                 summary.failures_by_kind[2], summary.failures_by_kind[3],
                 summary.failures_by_kind[4]);
-  out += "," + aggregate_json("cost", summary.cost);
-  out += "," + aggregate_json("delivery_ratio", summary.delivery_ratio);
-  out += "," + aggregate_json("mean_depth", summary.mean_depth);
-  out += "," + aggregate_json("parent_changes", summary.parent_changes);
+  append_aggregate(out, "cost", summary.cost);
+  append_aggregate(out, "delivery_ratio", summary.delivery_ratio);
+  append_aggregate(out, "mean_depth", summary.mean_depth);
+  append_aggregate(out, "parent_changes", summary.parent_changes);
   if (summary.delivery_during_outage.n > 0 ||
       summary.time_to_reroute_s.n > 0) {
-    out += "," + aggregate_json("delivery_during_outage",
-                                summary.delivery_during_outage);
-    out += "," + aggregate_json("time_to_reroute_s",
-                                summary.time_to_reroute_s);
+    append_aggregate(out, "delivery_during_outage",
+                     summary.delivery_during_outage);
+    append_aggregate(out, "time_to_reroute_s", summary.time_to_reroute_s);
   }
   out += "}";
   return out;

@@ -7,7 +7,6 @@
 namespace fourbit::sim {
 namespace {
 
-using detail::rotl;
 using detail::splitmix64;
 
 // FNV-1a over the label, used to salt child streams.
@@ -31,40 +30,21 @@ Rng::Rng(std::uint64_t seed) {
   }
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() { return detail::unit_interval(next_u64()); }
-
 double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   FOURBIT_ASSERT(n > 0, "uniform_int needs a positive bound");
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t threshold = (0ULL - n) % n;
+  // Rejection sampling to remove modulo bias: draws below the threshold
+  // (2^64 mod n) are rejected. The threshold is below n, so a draw of at
+  // least n is accepted without computing it.
   for (;;) {
     const std::uint64_t r = next_u64();
-    if (r >= threshold) {
+    if (r >= n || r >= (0ULL - n) % n) {
       return r % n;
     }
   }
-}
-
-bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
 }
 
 double Rng::normal(double mean, double stddev) {

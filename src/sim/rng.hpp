@@ -55,11 +55,22 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed);
 
-  /// Uniform 64-bit value.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit value. The hot draws (this, uniform(), bernoulli())
+  /// are defined here so that callers inline them.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = detail::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = detail::rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() { return detail::unit_interval(next_u64()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -68,7 +79,11 @@ class Rng {
   std::uint64_t uniform_int(std::uint64_t n);
 
   /// true with probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
 
   /// A standard normal variate, drawn but not yet evaluated: the two
   /// uniforms of its Box–Muller pair and which half of the pair it is.

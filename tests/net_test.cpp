@@ -605,9 +605,9 @@ TEST(RoutingAllocationTest, RandomTableEvictionAllocatesNothing) {
 }
 
 /// Test-side oracle for parent selection and the compare bit: the same
-/// rules as RoutingEngine, but every route found by a linear search of
-/// the public route table, the way the engine looked routes up before it
-/// kept per-entry position hints.
+/// rules as RoutingEngine, but every route found by a linear search of a
+/// copy of the route table, with none of the engine's hash index or
+/// links between link-table entries and routes.
 class RouteOracle {
  public:
   RouteOracle(const sim::Simulator& sim, const RoutingEngine& routing,
@@ -648,6 +648,15 @@ class RouteOracle {
     return {parent, *current};
   }
 
+  /// `n`'s route found by a linear search of the route table.
+  [[nodiscard]] std::optional<RoutingEngine::NeighborRoute> linear_route(
+      NodeId n) const {
+    for (const RoutingEngine::RouteEntry& e : routing_.route_table()) {
+      if (e.node == n) return e.route;
+    }
+    return std::nullopt;
+  }
+
   [[nodiscard]] bool compare_bit(std::span<const std::uint8_t> payload) const {
     const auto beacon = RoutingBeacon::decode(payload);
     if (!beacon.has_value() || beacon->parent == self_ ||
@@ -673,14 +682,8 @@ class RouteOracle {
  private:
   [[nodiscard]] std::optional<double> cost(const link::LinkEstimate& l) const {
     if (!l.has_etx) return std::nullopt;
-    const RoutingEngine::NeighborRoute* r = nullptr;
-    for (const RoutingEngine::RouteEntry& e : routing_.route_table()) {
-      if (e.node == l.node) {
-        r = &e.route;
-        break;
-      }
-    }
-    if (r == nullptr || r->parent == self_ ||
+    const std::optional<RoutingEngine::NeighborRoute> r = linear_route(l.node);
+    if (!r.has_value() || r->parent == self_ ||
         r->path_etx >= config_.max_path_etx) {
       return std::nullopt;
     }
@@ -703,7 +706,7 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
   // with 10 entries and 30 peers: beacons (white-bit admissions evict and
   // reorder the table), snooped costs (route-only neighbors), acks, the
   // beacon trim and parent evictions (both erase from the route table
-  // under live hints), estimator removals and crashes. After each step
+  // under live links), estimator removals and crashes. After each step
   // the engine must agree with the linear-lookup oracle.
   sim::Simulator sim;
   core::FourBitConfig fb;
@@ -744,7 +747,7 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
           from, wire, link::PacketPhyInfo{.white = rng.bernoulli(0.7)});
       if (!payload.has_value()) continue;
       const std::size_t before = routing.route_table().size();
-      const bool known = routing.route(from) != nullptr;
+      const bool known = routing.route(from).has_value();
       routing.on_beacon(from, *payload);
       if (routing.route_table().size() < before + (known ? 0 : 1)) ++trims;
     } else if (op < 75) {
@@ -784,12 +787,151 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
     ASSERT_EQ(routing.compare_bit(NodeId{50}, candidate),
               oracle.compare_bit(candidate))
         << "step " << step;
+    // The lookup by node agrees with a linear search for every peer, and
+    // the route table holds each node once.
+    std::size_t held = 0;
+    for (std::uint16_t p = 1; p <= 30; ++p) {
+      const auto indexed = routing.route(NodeId{p});
+      const auto linear = oracle.linear_route(NodeId{p});
+      ASSERT_EQ(indexed.has_value(), linear.has_value())
+          << "step " << step << " node " << p;
+      if (!indexed.has_value()) continue;
+      ++held;
+      ASSERT_EQ(indexed->parent, linear->parent) << "step " << step;
+      ASSERT_EQ(indexed->path_etx, linear->path_etx) << "step " << step;
+      ASSERT_EQ(indexed->last_heard, linear->last_heard) << "step " << step;
+    }
+    ASSERT_EQ(held, routing.route_table().size()) << "step " << step;
   }
-  // The sequence reached the cases the hints must survive.
+  // The sequence reached the cases the links must survive.
   EXPECT_GT(trims, 0u);
   EXPECT_GT(routing.parent_evictions(), 0u);
   EXPECT_GT(routing.parent_changes(), 10u);
   EXPECT_GT(crashes, 0u);
+}
+
+TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableReorders) {
+  // The same check over a table kept in node order (FakeEstimator): an
+  // admission lands anywhere in the table and shifts the rest up, unlike
+  // 4B's appends. Nodes 1..20 come and go from the table; 21..32 are only
+  // ever overheard, so beacons trim. Crashes keep the table, so new
+  // routes find their table entries after them.
+  sim::Simulator sim;
+  FakeEstimator est;
+  const NodeId self{50};
+  const CollectionConfig config;
+  RoutingEngine routing{sim, self, false, est, config, sim::Rng{52}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  const RouteOracle oracle{sim, routing, est, self, config};
+
+  sim::Rng rng{53};
+  const auto node = [&](std::uint64_t lo, std::uint64_t count) {
+    return NodeId{static_cast<std::uint16_t>(lo + rng.uniform_int(count))};
+  };
+  const auto cost = [&] { return rng.uniform(0.0, 8.0); };
+  std::size_t trims = 0;
+  for (int step = 0; step < 4000; ++step) {
+    sim.run_for(sim::Duration::from_seconds(rng.uniform(0.0, 12.0)));
+    const std::uint64_t op = rng.uniform_int(100);
+    if (op < 25) {
+      est.set_etx(node(1, 20), rng.uniform(1.0, 3.0));
+      routing.on_loop_detected();
+    } else if (op < 40) {
+      (void)est.remove(node(1, 20));  // refused while pinned
+      routing.on_loop_detected();
+    } else if (op < 65) {
+      const std::size_t before = routing.route_table().size();
+      const NodeId from = node(1, 20);
+      const bool known = routing.route(from).has_value();
+      routing.on_beacon(from, beacon_from(rng.bernoulli(0.05) ? self
+                                                              : NodeId{99},
+                                          cost()));
+      if (routing.route_table().size() < before + (known ? 0 : 1)) ++trims;
+    } else if (op < 98) {
+      routing.on_snooped_cost(node(1, 32), cost());
+    } else {
+      routing.crash();
+      routing.start();
+    }
+    const auto [parent, path_etx] = oracle.settled();
+    ASSERT_EQ(routing.parent(), parent) << "step " << step;
+    ASSERT_EQ(routing.path_etx(), path_etx) << "step " << step;
+    const auto candidate = beacon_from(NodeId{99}, cost());
+    ASSERT_EQ(routing.compare_bit(NodeId{60}, candidate),
+              oracle.compare_bit(candidate))
+        << "step " << step;
+    for (std::uint16_t n = 1; n <= 32; ++n) {
+      const auto indexed = routing.route(NodeId{n});
+      const auto linear = oracle.linear_route(NodeId{n});
+      ASSERT_EQ(indexed.has_value(), linear.has_value())
+          << "step " << step << " node " << n;
+      if (indexed.has_value()) {
+        ASSERT_EQ(indexed->path_etx, linear->path_etx) << "step " << step;
+      }
+    }
+  }
+  EXPECT_GT(trims, 0u);
+  EXPECT_GT(routing.parent_changes(), 10u);
+}
+
+TEST(RoutingTrimTest, SnoopedRoutesOutsideTheTableLastUntilATrim) {
+  // A route heard from a node outside the link table is held, unread,
+  // until a beacon trims the route table (more routes than table entries
+  // + 4). If the table admits the node first, the next pass reads the
+  // route held since the snoop. A trim drops the route of every node
+  // outside the table at that moment, one that left it included.
+  sim::Simulator sim;
+  FakeEstimator est;
+  RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
+                        sim::Rng{1}};
+  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.start();
+  const auto beacon_of_1 = [&] {
+    routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 3.0));
+  };
+  est.set_etx(NodeId{1}, 1.0);
+  beacon_of_1();
+  ASSERT_EQ(routing.parent(), NodeId{1});
+  ASSERT_EQ(routing.path_etx(), 4.0);
+
+  // Node 7 is overheard but not in the table; beacons that leave the
+  // route table within its bound keep its route.
+  routing.on_snooped_cost(NodeId{7}, 0.5);
+  for (int i = 0; i < 3; ++i) beacon_of_1();
+  EXPECT_EQ(routing.parent(), NodeId{1});
+  ASSERT_TRUE(routing.route(NodeId{7}).has_value());
+  EXPECT_EQ(routing.route(NodeId{7})->path_etx, 0.5);
+
+  // The table admits node 7 (as its own beacon would), and the pass on
+  // node 1's next beacon reads the snooped route: 0.5 + 1 beats 4.
+  est.set_etx(NodeId{7}, 1.0);
+  beacon_of_1();
+  EXPECT_EQ(routing.parent(), NodeId{7});
+  EXPECT_EQ(routing.path_etx(), 1.5);
+
+  // Node 3 joins the table with a route, then leaves the table.
+  est.set_etx(NodeId{3}, 2.0);
+  routing.on_beacon(NodeId{3}, beacon_from(NodeId{99}, 3.0));
+  est.drop(NodeId{3});
+  // Routes {1, 7, 3, 20, 21}: within the bound of 2 table entries + 4.
+  routing.on_snooped_cost(NodeId{20}, 2.0);
+  routing.on_snooped_cost(NodeId{21}, 2.0);
+  beacon_of_1();
+  EXPECT_EQ(routing.route_table().size(), 5u);
+  // Two more make 7 routes, and the next beacon trims to the table.
+  routing.on_snooped_cost(NodeId{22}, 2.0);
+  routing.on_snooped_cost(NodeId{23}, 2.0);
+  EXPECT_EQ(routing.route_table().size(), 7u);
+  beacon_of_1();
+  EXPECT_EQ(routing.route_table().size(), 2u);
+  for (const std::uint16_t n : {3, 20, 21, 22, 23}) {
+    EXPECT_FALSE(routing.route(NodeId{n}).has_value()) << "node " << n;
+  }
+  EXPECT_TRUE(routing.route(NodeId{1}).has_value());
+  EXPECT_TRUE(routing.route(NodeId{7}).has_value());
+  EXPECT_EQ(routing.parent(), NodeId{7});
+  EXPECT_EQ(routing.path_etx(), 1.5);
 }
 
 TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
@@ -845,8 +987,8 @@ TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
       seq[from.value()] += rng.bernoulli(0.8) ? 1 : 2;
       const NodeId advertised_parent = rng.bernoulli(0.1) ? self : NodeId{99};
       double advertised = rng.bernoulli(0.05) ? config.max_path_etx : cost();
-      if (const auto* held = routing.route(from);
-          held != nullptr && rng.bernoulli(0.4)) {
+      if (const auto held = routing.route(from);
+          held.has_value() && rng.bernoulli(0.4)) {
         advertised = held->path_etx;
       }
       std::vector<std::uint8_t> wire{seq[from.value()]};
@@ -863,8 +1005,8 @@ TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
       const auto table = est.neighbors();
       if (table.empty()) continue;
       const NodeId n = table[rng.uniform_int(table.size())];
-      const RoutingEngine::NeighborRoute* r = routing.route(n);
-      if (r == nullptr) continue;
+      const auto r = routing.route(n);
+      if (!r.has_value()) continue;
       routing.on_snooped_cost(n, r->path_etx);
     } else if (op < 65) {
       outside_snoop();
@@ -879,8 +1021,8 @@ TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
       // route still counts, 1 us later it does not.
       std::optional<sim::Time> edge;
       for (const NodeId n : est.neighbors()) {
-        const RoutingEngine::NeighborRoute* r = routing.route(n);
-        if (n == routing.parent() || r == nullptr || r->parent == self ||
+        const auto r = routing.route(n);
+        if (n == routing.parent() || !r.has_value() || r->parent == self ||
             r->path_etx >= config.max_path_etx || !est.etx(n).has_value()) {
           continue;
         }

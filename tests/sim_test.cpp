@@ -562,6 +562,34 @@ TEST(RngTest, UniformIntCoversRangeUniformly) {
   }
 }
 
+TEST(RngTest, UniformIntMatchesReferenceRejectionSampler) {
+  // uniform_int skips the threshold division for draws of at least n.
+  // The reference computes the threshold (2^64 mod n) first, as the
+  // textbook sampler does: both must return the same values and consume
+  // the same outputs. The two large bounds draw below n about half the
+  // time (2^63 + 1, where half of those are rejected) or almost never.
+  for (const std::uint64_t n :
+       {std::uint64_t{1}, std::uint64_t{3}, std::uint64_t{255},
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    Rng fast{2024};
+    Rng reference{2024};
+    const std::uint64_t threshold = (0ULL - n) % n;
+    std::uint64_t rejected = 0;
+    for (int i = 0; i < 100'000; ++i) {
+      std::uint64_t r = reference.next_u64();
+      while (r < threshold) {
+        ++rejected;
+        r = reference.next_u64();
+      }
+      ASSERT_EQ(fast.uniform_int(n), r % n) << "n " << n << " draw " << i;
+    }
+    ASSERT_EQ(fast.next_u64(), reference.next_u64()) << "n " << n;
+    if (n == (std::uint64_t{1} << 63) + 1) {
+      EXPECT_GT(rejected, 40'000u);
+    }
+  }
+}
+
 TEST(RngTest, BernoulliMatchesProbability) {
   Rng r{123};
   int hits = 0;
