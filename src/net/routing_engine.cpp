@@ -59,7 +59,6 @@ void RoutingEngine::crash() {
   routes_.clear();
   std::fill(route_index_.begin(), route_index_.end(), kNone);
   for (TableLink& l : table_links_) l.route = kNone;
-  unrouted_ = static_cast<Pos>(table_links_.size());
   parent_ = kInvalidNodeId;
   my_cost_ = is_root_ ? 0.0 : config_.max_path_etx;
   settled_ = false;
@@ -170,11 +169,7 @@ void RoutingEngine::rebuild_index() {
 
 void RoutingEngine::link(Pos k, Pos j) {
   table_links_[k].route = j;
-  if (j != kNone) {
-    routes_[j].slot = k;
-  } else {
-    ++unrouted_;
-  }
+  if (j != kNone) routes_[j].slot = k;
 }
 
 void RoutingEngine::read_link_table() {
@@ -194,21 +189,14 @@ void RoutingEngine::read_link_table() {
     if (k < size && table_links_[k].node == estimates_[k].node) continue;
     if (table_links_[k].route != kNone) {
       routes_[table_links_[k].route].slot = kNone;
-    } else {
-      --unrouted_;
     }
   }
   table_links_.resize(size);
   for (std::size_t k = 0; k < size; ++k) {
     const NodeId n = estimates_[k].node;
     if (k < old_size && table_links_[k].node == n) continue;
-    // The table erases by shifting the rest down, so a node that moved is
-    // mostly the one the next old entry linked.
-    const Pos j = k + 1 < old_size && table_links_[k + 1].node == n
-                      ? table_links_[k + 1].route
-                      : find_route(n);
     table_links_[k].node = n;
-    link(static_cast<Pos>(k), j);
+    link(static_cast<Pos>(k), find_route(n));
   }
 }
 
@@ -241,15 +229,14 @@ void RoutingEngine::store_route(NodeId n, Pos j,
     r.last_heard = heard.last_heard;
     return;
   }
-  // A new route. If the table holds n, its entry is one without a route.
+  // A new route, linked to n's table entry if the table holds n.
   FOURBIT_ASSERT(routes_.size() < kNone, "route table too large");
   j = static_cast<Pos>(routes_.size());
   routes_.push_back(
       HeldRoute{n, heard.parent, kNone, heard.path_etx, heard.last_heard});
   index_insert(j);
-  for (std::size_t k = 0; unrouted_ > 0 && k < table_links_.size(); ++k) {
-    if (table_links_[k].route == kNone && table_links_[k].node == n) {
-      --unrouted_;
+  for (std::size_t k = 0; k < table_links_.size(); ++k) {
+    if (table_links_[k].node == n) {
       link(static_cast<Pos>(k), j);
       break;
     }

@@ -227,9 +227,6 @@ class RoutingEngine final : public link::CompareProvider {
   };
   std::vector<TableLink> table_links_;
   NodeId parent_ = kInvalidNodeId;
-  // Entries of table_links_ without a route, so that a new route looks
-  // for its table entry only when one can be missing.
-  Pos unrouted_ = 0;
   // A node's home slot in route_index_: (node * golden) >> index_shift_.
   std::uint8_t index_shift_ = 32;
   bool started_ = false;

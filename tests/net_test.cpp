@@ -445,6 +445,29 @@ TEST_F(RoutingFixture, DeadPinnedParentEvictedAfterFailureStreak) {
       << "the next-best candidate takes over";
 }
 
+TEST_F(RoutingFixture, EvictionKeepsTheMovedRouteLinkedToItsTableEntry) {
+  // The table is kept in node order (1, 2, 3) and the routes arrive 2, 3,
+  // 1. Evicting parent 2 erases its route, and node 1's route, the last,
+  // moves into the hole. Node 1 keeps table position 0, which the relink
+  // after the removal does not touch, so the erase itself must repoint
+  // that entry: node 1's next beacon reaches selection through it.
+  for (const std::uint16_t n : {1, 2, 3}) estimator_.set_etx(NodeId{n}, 1.0);
+  routing_.on_beacon(NodeId{2}, beacon_from(NodeId{99}, 1.0));
+  routing_.on_beacon(NodeId{3}, beacon_from(NodeId{99}, 5.0));
+  routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 6.0));
+  ASSERT_EQ(routing_.parent(), NodeId{2});
+  for (int i = 0; i < CollectionConfig{}.parent_evict_failures; ++i) {
+    routing_.on_delivery_failure(NodeId{2});
+  }
+  ASSERT_EQ(routing_.parent_evictions(), 1u);
+  EXPECT_EQ(routing_.parent(), NodeId{3});
+  EXPECT_EQ(routing_.path_etx(), 6.0);
+
+  routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.5));
+  EXPECT_EQ(routing_.parent(), NodeId{1});
+  EXPECT_EQ(routing_.path_etx(), 1.5);
+}
+
 TEST_F(RoutingFixture, DeliverySuccessResetsFailureStreak) {
   estimator_.set_etx(NodeId{1}, 1.0);
   routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
