@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   // beacon to create the table entry).
   core::FourBitEstimator estimator{core::FourBitConfig{}, rng.fork("est")};
   {
-    link::PacketPhyInfo seed_info{.white = true, .lqi = 110};
+    link::FixedPhyInfo seed_info{true, 110};
     const std::vector<std::uint8_t> beacon{0};
     (void)estimator.unwrap_beacon(receiver_id, beacon, seed_info);
   }

@@ -22,8 +22,7 @@ namespace {
 
 /// Feeds one beacon with sequence number `seq` from node 1.
 void beacon(core::FourBitEstimator& est, std::uint8_t seq) {
-  link::PacketPhyInfo phy;
-  phy.white = true;
+  const link::FixedPhyInfo phy{/*white=*/true, /*lqi=*/0};
   const std::vector<std::uint8_t> wire = [&] {
     // Estimator wire format: [seq][routing payload]; build it by hand so
     // the trace drives exactly one input.

@@ -17,6 +17,8 @@
 #include "core/four_bit_estimator.hpp"
 #include "estimators/lqi_estimator.hpp"
 #include "mac/frame.hpp"
+#include "mac/mac.hpp"
+#include "net/collection_node.hpp"
 #include "net/packets.hpp"
 #include "net/routing_engine.hpp"
 #include "phy/channel.hpp"
@@ -25,6 +27,7 @@
 #include "phy/modulation.hpp"
 #include "phy/propagation.hpp"
 #include "phy/radio.hpp"
+#include "runner/profile.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -119,7 +122,7 @@ BENCHMARK(BM_EventQueueCancelChurn)->Arg(0)->Arg(1);
 
 void BM_FourBitAckUpdate(benchmark::State& state) {
   core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
-  link::PacketPhyInfo info{.white = true, .lqi = 110};
+  link::FixedPhyInfo info{true, 110};
   const std::vector<std::uint8_t> beacon{0};
   (void)est.unwrap_beacon(NodeId{1}, beacon, info);
   bool acked = true;
@@ -133,7 +136,7 @@ BENCHMARK(BM_FourBitAckUpdate);
 
 void BM_FourBitBeaconUnwrap(benchmark::State& state) {
   core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{1}};
-  link::PacketPhyInfo info{.white = true, .lqi = 110};
+  link::FixedPhyInfo info{true, 110};
   std::uint8_t seq = 0;
   for (auto _ : state) {
     const std::vector<std::uint8_t> beacon{seq++, 1, 2, 3, 4};
@@ -163,7 +166,7 @@ bool warm_route_engine(benchmark::State& state, link::LinkEstimator& est,
       std::vector<std::uint8_t> wire{seq};
       const auto payload = b.encode();
       wire.insert(wire.end(), payload.begin(), payload.end());
-      const link::PacketPhyInfo info{.white = true, .lqi = 108 - n % 3};
+      const link::FixedPhyInfo info{true, 108 - n % 3};
       if (const auto routed = est.unwrap_beacon(NodeId{n}, wire, info)) {
         routing.on_beacon(NodeId{n}, *routed);
       }
@@ -267,7 +270,7 @@ void BM_RouteBeaconTrim(benchmark::State& state) {
     std::vector<std::uint8_t>& wire = wires[k % 30];
     const NodeId from{static_cast<std::uint16_t>(k % 30 + 1)};
     ++wire[0];
-    const link::PacketPhyInfo info{.white = k % 4 == 0, .lqi = 108};
+    const link::FixedPhyInfo info{k % 4 == 0, 108};
     if (const auto routed = est.unwrap_beacon(from, wire, info)) {
       routing.on_beacon(from, *routed);
     }
@@ -436,6 +439,73 @@ void BM_BurstInterferenceQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BurstInterferenceQuery);
+
+/// A MAC stub for benches above the MAC: records what its node sends and
+/// hands the bench the node's receive handler.
+class StubMac final : public mac::Mac {
+ public:
+  explicit StubMac(NodeId id) : id_(id) {}
+
+  [[nodiscard]] NodeId id() const override { return id_; }
+  void set_rx_handler(RxHandler h) override { rx_ = std::move(h); }
+  void set_snoop_handler(RxHandler) override {}
+  void send(NodeId, std::span<const std::uint8_t> payload,
+            SendCallback done) override {
+    sent.emplace_back(payload.begin(), payload.end());
+    if (done) done(mac::TxResult{});
+  }
+  [[nodiscard]] std::size_t queue_depth() const override { return 0; }
+
+  void deliver(NodeId src, std::span<const std::uint8_t> payload,
+               const phy::RxInfo& info) {
+    rx_(src, 0, payload, info);
+  }
+
+  std::vector<std::vector<std::uint8_t>> sent;
+
+ private:
+  NodeId id_;
+  RxHandler rx_;
+};
+
+/// One routing beacon from a table member, delivered to a CollectionNode
+/// with a real phy::RxInfo (a clean reception: LQI noise drawn, reading
+/// unevaluated, the default white-bit rule): the receive path above the
+/// MAC, down to the estimator and routing engine. Arg 0 runs 4B, which
+/// reads no PHY bit here; arg 1 runs MultiHopLQI, which evaluates every
+/// beacon's LQI.
+void BM_CollectionNodeBeaconRx(benchmark::State& state) {
+  const runner::Profile profile = state.range(0) == 0
+                                      ? runner::Profile::kFourBit
+                                      : runner::Profile::kMultihopLqi;
+  sim::Simulator sim;
+  StubMac root_mac{NodeId{1}};
+  StubMac node_mac{NodeId{2}};
+  net::CollectionNode root{
+      sim, root_mac,
+      runner::make_estimator(profile, NodeId{1}, 10, sim::Rng{1}),
+      /*is_root=*/true, net::CollectionConfig{}, nullptr, sim::Rng{2}};
+  net::CollectionNode node{
+      sim, node_mac,
+      runner::make_estimator(profile, NodeId{2}, 10, sim::Rng{3}),
+      /*is_root=*/false, net::CollectionConfig{}, nullptr, sim::Rng{4}};
+  root.boot();
+  while (root_mac.sent.empty()) {
+    sim.run_until(sim.now() + sim::Duration::from_seconds(1.0));
+  }
+  // [dispatch][estimator sequence number][routing payload]
+  std::vector<std::uint8_t> frame = root_mac.sent.front();
+  sim::Rng lqi_rng{5};
+  const phy::WhiteBitRule rule = phy::WhiteBitRule::of(phy::PhyConfig{});
+  for (auto _ : state) {
+    ++frame[1];  // the next beacon, no gap
+    const phy::RxInfo info{PowerDbm{-85.0}, 12.0, lqi_rng.normal_draw(),
+                           rule};
+    node_mac.deliver(NodeId{1}, frame, info);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CollectionNodeBeaconRx)->Arg(0)->Arg(1);
 
 void BM_DataHeaderRoundTrip(benchmark::State& state) {
   net::DataHeader h;

@@ -15,6 +15,7 @@
 #include "core/four_bit_estimator.hpp"
 #include "estimators/lqi_estimator.hpp"
 #include "mac/csma.hpp"
+#include "net/rx_phy_info.hpp"
 #include "phy/channel.hpp"
 #include "phy/interference.hpp"
 #include "sim/simulator.hpp"
@@ -52,7 +53,7 @@ int main() {
   estimators::LqiEstimator lqi{estimators::LqiEstimatorConfig{},
                                rng.fork("lqi")};
   {
-    link::PacketPhyInfo seed{.white = true, .lqi = 110};
+    link::FixedPhyInfo seed{true, 110};
     const std::vector<std::uint8_t> wire{0};
     (void)fourb.unwrap_beacon(NodeId{2}, wire, seed);
   }
@@ -60,7 +61,7 @@ int main() {
   rx_mac.set_rx_handler([&](NodeId src, std::uint8_t,
                             std::span<const std::uint8_t>,
                             const phy::RxInfo& info) {
-    lqi.on_data_rx(src, {.white = info.white(), .lqi = info.lqi()});
+    lqi.on_data_rx(src, net::RxPhyInfo{info});
   });
 
   // Beacon-PRR observer: the receiver counts periodic broadcast probes.
@@ -69,7 +70,7 @@ int main() {
   rx_mac.set_rx_handler([&](NodeId src, std::uint8_t,
                             std::span<const std::uint8_t> payload,
                             const phy::RxInfo& info) {
-    lqi.on_data_rx(src, {.white = info.white(), .lqi = info.lqi()});
+    lqi.on_data_rx(src, net::RxPhyInfo{info});
     if (!payload.empty() && payload[0] == 0xBE) ++beacons_heard;
   });
 

@@ -47,7 +47,7 @@ int main() {
   est.set_compare_provider(&routing);
 
   std::printf("== 1. Bootstrap from beacons ==\n");
-  link::PacketPhyInfo clean{.white = true, .lqi = 110};
+  link::FixedPhyInfo clean{true, 110};
   for (std::uint8_t seq = 0; seq < 4; ++seq) {
     const std::vector<std::uint8_t> wire{seq};
     (void)est.unwrap_beacon(NodeId{1}, wire, clean);
@@ -73,7 +73,7 @@ int main() {
               cfg.table_capacity);
 
   std::printf("\n  a beacon WITHOUT the white bit (noisy packet):\n");
-  link::PacketPhyInfo noisy{.white = false, .lqi = 78};
+  link::FixedPhyInfo noisy{false, 78};
   const std::vector<std::uint8_t> wire{0};
   (void)est.unwrap_beacon(NodeId{4}, wire, noisy);
   show(est, NodeId{4});

@@ -85,7 +85,7 @@ bool FourBitEstimator::try_admit(NodeId from, const link::PacketPhyInfo& phy,
       // replacement policy: a white-bit packet whose sender's route wins
       // the compare-bit query flushes a random unpinned entry right away;
       // other senders still get the baseline probabilistic chance.
-      if (phy.white && compare_ != nullptr) {
+      if (compare_ != nullptr && phy.white()) {
         const bool wins = compare_->compare_bit(from, payload);
         if (telemetry_ != nullptr) {
           telemetry_->emit(sim::EventKind::kTableCompare, self_,
@@ -128,7 +128,7 @@ void FourBitEstimator::note_beacon(Table::Entry& entry, std::uint8_t seq,
       // consecutive losses — IF the white bit on this very packet, or
       // an ack inside the current unicast window, says the link is
       // alive. Resynchronize instead of charging phantom losses.
-      const bool alive = phy.white || st.window_acked > 0;
+      const bool alive = st.window_acked > 0 || phy.white();
       if (alive) {
         ++seq_resets_;
         gap = 1;

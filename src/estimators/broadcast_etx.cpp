@@ -140,7 +140,7 @@ bool BroadcastEtxEstimator::try_admit(
     case core::InsertionPolicy::kWhiteCompare:
       // White/compare is a fast path SUPPLEMENTING the baseline
       // probabilistic replacement (see FourBitEstimator::try_admit).
-      if (phy.white && compare_ != nullptr &&
+      if (compare_ != nullptr && phy.white() &&
           compare_->compare_bit(from, payload)) {
         return evict(sim::EvictReason::kWhiteCompare);
       }

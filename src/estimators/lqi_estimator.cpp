@@ -30,12 +30,12 @@ std::optional<std::vector<std::uint8_t>> LqiEstimator::unwrap_beacon(
   if (!r.ok()) return std::nullopt;
   const auto payload_span = r.rest();
   std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
-  note_lqi(from, phy.lqi);
+  note_lqi(from, phy.lqi());
   return payload;
 }
 
 void LqiEstimator::on_data_rx(NodeId from, const link::PacketPhyInfo& phy) {
-  note_lqi(from, phy.lqi);
+  note_lqi(from, phy.lqi());
 }
 
 void LqiEstimator::note_lqi(NodeId from, int lqi) {

@@ -141,22 +141,18 @@ void LplMac::finish_tx(TxResult result) {
   service_queue();
 }
 
-bool LplMac::is_duplicate(NodeId src, std::uint8_t dsn) {
+bool RecentFrames::check_and_insert(NodeId src, std::uint8_t dsn,
+                                    sim::Time now, sim::Duration hold) {
   const std::uint32_t key =
       static_cast<std::uint32_t>(src.value()) << 8 | dsn;
-  const sim::Time now = sim_.now();
-  // Opportunistic cleanup keeps the map tiny.
-  if (recent_.size() > 64) {
-    std::erase_if(recent_, [now](const auto& kv) {
-      return kv.second <= now;
-    });
+  // Newest last, and a duplicate is usually a copy of the newest train.
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    if (it->key == key && it->until > now) return true;
   }
-  const auto [it, inserted] = recent_.try_emplace(
-      key, now + config_.wake_interval * (config_.tx_margin + 1.0));
-  if (!inserted) {
-    if (it->second > now) return true;
-    it->second = now + config_.wake_interval * (config_.tx_margin + 1.0);
-  }
+  // An expired entry for the same key goes too, so each key has at most
+  // one entry.
+  std::erase_if(entries_, [now](const Entry& e) { return e.until <= now; });
+  entries_.push_back(Entry{key, now + hold});
   return false;
 }
 
@@ -168,7 +164,9 @@ void LplMac::on_inner_rx(NodeId src, std::uint8_t dsn,
   hold_until_ = sim_.now() + config_.after_rx_hold;
   update_listening();
 
-  if (is_duplicate(src, dsn)) {
+  if (recent_.check_and_insert(
+          src, dsn, sim_.now(),
+          config_.wake_interval * (config_.tx_margin + 1.0))) {
     ++dup_suppressed_;
     return;
   }

@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "mac/csma.hpp"
 #include "mac/mac.hpp"
@@ -43,6 +43,31 @@ struct LplConfig {
   /// The transmit train lasts wake_interval * this margin, covering
   /// clock skew between sender and receiver schedules.
   double tx_margin = 1.2;
+};
+
+/// LPL's duplicate filter: the (sender, DSN) pairs admitted within their
+/// hold time. Copies of one logical frame arrive back to back, so few
+/// entries are live at once; they sit in a flat vector, and an admission
+/// first drops the entries whose hold has ended.
+class RecentFrames {
+ public:
+  /// True if (src, dsn) was admitted and its hold has not ended at `now`.
+  /// Otherwise admits it, held until `now + hold`, and returns false.
+  /// `now` never decreases from one call to the next.
+  [[nodiscard]] bool check_and_insert(NodeId src, std::uint8_t dsn,
+                                      sim::Time now, sim::Duration hold);
+
+  void clear() { entries_.clear(); }
+
+  /// Entries held, live or not yet dropped.
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
+ private:
+  struct Entry {
+    std::uint32_t key;  // src << 8 | dsn
+    sim::Time until;
+  };
+  std::vector<Entry> entries_;
 };
 
 class LplMac final : public Mac {
@@ -91,7 +116,6 @@ class LplMac final : public Mac {
   void on_inner_rx(NodeId src, std::uint8_t dsn,
                    std::span<const std::uint8_t> payload,
                    const phy::RxInfo& info, bool snooped);
-  [[nodiscard]] bool is_duplicate(NodeId src, std::uint8_t dsn);
 
   sim::Simulator& sim_;
   CsmaMac& inner_;
@@ -118,7 +142,7 @@ class LplMac final : public Mac {
   sim::Timer gap_timer_;
 
   // Duplicate suppression across copies of one logical frame.
-  std::unordered_map<std::uint32_t, sim::Time> recent_;
+  RecentFrames recent_;
 
   std::uint64_t copies_ = 0;
   std::uint64_t dup_suppressed_ = 0;

@@ -4,6 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/byte_io.hpp"
+#include "net/rx_phy_info.hpp"
 
 namespace fourbit::net {
 
@@ -98,9 +99,9 @@ void CollectionNode::on_mac_rx(NodeId src, std::uint8_t /*dsn*/,
   const std::uint8_t dispatch = payload[0];
   const auto body = payload.subspan(1);
 
-  link::PacketPhyInfo phy_info;
-  phy_info.white = info.white();
-  phy_info.lqi = info.lqi();
+  // The estimators read the bits they decide on; nothing is evaluated
+  // here.
+  const RxPhyInfo phy_info{info};
 
   switch (dispatch) {
     case kDispatchBeacon: {

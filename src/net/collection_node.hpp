@@ -2,8 +2,8 @@
 // glued to a CSMA MAC.
 //
 // The glue owns the layer-2.5 dispatch byte that multiplexes estimator
-// beacons and data packets over the MAC, and converts the PHY's RxInfo
-// into the narrow PacketPhyInfo the estimator interface accepts.
+// beacons and data packets over the MAC, and hands the estimators the
+// PHY's RxInfo through the narrow PacketPhyInfo interface (RxPhyInfo).
 #pragma once
 
 #include <memory>

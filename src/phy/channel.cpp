@@ -23,6 +23,7 @@ Channel::Channel(sim::Simulator& sim, PhyConfig phy, PropagationConfig prop,
       ctr_frames_tx_(sim.telemetry().counter("phy", "frames_tx")),
       ctr_cache_rebuilds_(sim.telemetry().counter("phy", "cache_rebuilds")) {
   FOURBIT_ASSERT(interference_ != nullptr, "interference model required");
+  bursts_ = dynamic_cast<GilbertElliottInterference*>(interference_.get());
 }
 
 Channel::~Channel() {
@@ -823,7 +824,9 @@ void Channel::finish_transmission(ActiveTx* tx) {
     // External burst interference destroys whole packets independent of
     // chip quality (see header comment).
     const double burst =
-        interference_->destroy_probability(r.id(), tx->start, tx->end);
+        bursts_ != nullptr
+            ? bursts_->destroy_probability(r.id(), tx->start, tx->end)
+            : interference_->destroy_probability(r.id(), tx->start, tx->end);
     if (burst > 0.0 && reception_rng_.bernoulli(burst)) {
       deliver_corrupt(r, *tx, rx, sinr_db);
       continue;

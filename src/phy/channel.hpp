@@ -413,6 +413,10 @@ class Channel {
   PropagationModel propagation_;
   OqpskModulation modulation_;
   std::unique_ptr<InterferenceModel> interference_;
+  // interference_ when it is the Gilbert–Elliott model, else nullptr:
+  // every clean reception asks the model, and outside scripted scenarios
+  // it is this final class, whose query is inline when called directly.
+  GilbertElliottInterference* bursts_ = nullptr;
   sim::Rng reception_rng_;
   sim::Rng lqi_rng_;
   // Slot-stable radio table: detach leaves a nullptr tombstone and

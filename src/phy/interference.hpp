@@ -64,44 +64,65 @@ class GilbertElliottInterference final : public InterferenceModel {
 
   GilbertElliottInterference(Config config, sim::Rng rng);
 
+  /// Every reception that passed its PRR draw asks, so the common case
+  /// is inline and branches only on the node's dwell: a query before the
+  /// end of the node's current dwell answers from its state. The rest —
+  /// a node's first query, and a dwell that ended — step the chain out
+  /// of line. An unaffected node's dwell never ends.
   [[nodiscard]] double destroy_probability(NodeId rx, sim::Time start,
-                                           sim::Time end) override;
+                                           sim::Time end) override {
+    // Packets (a few ms) are far shorter than dwell times (tens of
+    // seconds); the state at the packet midpoint decides. Integer
+    // halving truncates like `(end - start) * 0.5` in double for any
+    // span below 2^53 us, and skips the conversions.
+    const sim::Time mid =
+        start + sim::Duration::from_us((end - start).us() / 2);
+    const std::size_t id = rx.value();
+    if (id < dwells_.size() && mid < dwells_[id].end) [[likely]] {
+      return dwells_[id].bad ? config_.bad_loss_probability : 0.0;
+    }
+    return advance(rx, mid) ? config_.bad_loss_probability : 0.0;
+  }
 
   /// For tests: whether the node is in the bad state at `t` (advances the
   /// node's chain to `t`).
-  [[nodiscard]] bool in_bad_state(NodeId rx, sim::Time t);
+  [[nodiscard]] bool in_bad_state(NodeId rx, sim::Time t) {
+    const std::size_t id = rx.value();
+    if (id < dwells_.size() && t < dwells_[id].end) return dwells_[id].bad;
+    return advance(rx, t);
+  }
+
+  /// For tests: the node's chain stream, or nullptr before its first
+  /// query.
+  [[nodiscard]] const sim::Rng* chain_rng(NodeId rx) const;
 
  private:
-  struct NodeState {
-    bool affected = false;
+  /// A node's current dwell, indexed by node id. Kept apart from the
+  /// chain's 48-byte Rng so that a query reads 16 bytes.
+  struct Dwell {
+    /// The dwell's end; Time{} before the node's first query (so that
+    /// query takes the slow path), sim::Time max for a node never
+    /// subject to bursts.
+    sim::Time end;
+    /// 1 + the position of the node's chain in chains_; 0 before its
+    /// first query.
+    std::uint32_t chain = 0;
     bool bad = false;
-    sim::Time state_until;
-    sim::Rng rng;
   };
 
-  /// Every reception asks, so the lookup is inline; a node's first query
-  /// takes the out-of-line new_state().
-  NodeState& state_for(NodeId rx) {
-    const std::size_t id = rx.value();
-    if (id < index_.size() && index_[id] != 0) [[likely]] {
-      return states_[index_[id] - 1];
-    }
-    return new_state(rx);
-  }
-  NodeState& new_state(NodeId rx);
-  /// Steps the chain forward to `t`. It never goes back: a query earlier
-  /// than the node's last one (see InterferenceModel) sees the later
-  /// state.
-  void advance(NodeState& st, sim::Time t);
+  /// Steps the node's chain forward to `t`, creating it on the node's
+  /// first query, and returns whether it is bad at `t`. It never goes
+  /// back: a query earlier than the node's last one (see
+  /// InterferenceModel) sees the later state.
+  bool advance(NodeId rx, sim::Time t);
 
   Config config_;
   sim::Rng rng_;
-  // index_[id] is 1 + the position of node `id`'s state in states_, or 0
-  // before its first query; it grows to the largest id queried. Each
-  // state is seeded by rng_.fork(id) when created, so the order in which
+  // dwells_ grows to the largest id queried. Each chain is seeded by
+  // rng_.fork(id) on the node's first query, so the order in which
   // nodes are first queried does not matter.
-  std::vector<std::uint32_t> index_;
-  std::vector<NodeState> states_;
+  std::vector<Dwell> dwells_;
+  std::vector<sim::Rng> chains_;
 };
 
 /// Deterministic interference windows (used to script the Figure 3

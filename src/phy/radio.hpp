@@ -72,6 +72,10 @@ struct RxInfo {
   /// reading cleared the configured threshold).
   [[nodiscard]] bool white() const;
 
+  /// For tests: whether the LQI reading is known yet — fixed at
+  /// construction (no reception, corrupt) or evaluated by a read.
+  [[nodiscard]] bool lqi_known() const { return lqi_ != kUnread; }
+
  private:
   static constexpr int kUnread = -1;
   [[nodiscard]] int evaluate_lqi() const;

@@ -31,8 +31,8 @@ class StubCompare final : public link::CompareProvider {
   std::vector<std::uint8_t> last_payload_;
 };
 
-link::PacketPhyInfo white_info() { return {.white = true, .lqi = 110}; }
-link::PacketPhyInfo gray_info() { return {.white = false, .lqi = 80}; }
+link::FixedPhyInfo white_info() { return {true, 110}; }
+link::FixedPhyInfo gray_info() { return {false, 80}; }
 
 /// Sends one beacon with the given sequence number (no routing payload).
 void beacon(FourBitEstimator& est, NodeId from, std::uint8_t seq,

@@ -17,8 +17,8 @@
 namespace fourbit::estimators {
 namespace {
 
-link::PacketPhyInfo info(bool white = true, int lqi = 108) {
-  return {.white = white, .lqi = lqi};
+link::FixedPhyInfo info(bool white = true, int lqi = 108) {
+  return {white, lqi};
 }
 
 // ---- BroadcastEtxEstimator ---------------------------------------------------
@@ -329,9 +329,9 @@ void drive_and_check(const MakeEstimator& make,
   for (int step = 0; step < 5000; ++step) {
     const auto p = static_cast<std::uint16_t>(rng.uniform_int(kPeers));
     const NodeId peer{static_cast<std::uint16_t>(p + 1)};
-    const link::PacketPhyInfo phy{
-        .white = rng.bernoulli(0.7),
-        .lqi = 50 + static_cast<int>(rng.uniform_int(61))};
+    const bool white = rng.bernoulli(0.7);
+    const link::FixedPhyInfo phy{
+        white, 50 + static_cast<int>(rng.uniform_int(61))};
     const auto op = rng.uniform_int(100);
     Input input = Input::kNone;
     if (op < 45) {

@@ -263,7 +263,7 @@ TEST(IntegrationTest, EstimatorConvergesToTrueEtxOverRadio) {
 
   core::FourBitEstimator est{core::FourBitConfig{}, sim::Rng{12}};
   {
-    link::PacketPhyInfo seed{.white = true, .lqi = 110};
+    const link::FixedPhyInfo seed{true, 110};
     const std::vector<std::uint8_t> wire{0};
     (void)est.unwrap_beacon(NodeId{2}, wire, seed);
   }

@@ -182,9 +182,9 @@ TEST(NeighborTableTest, RemoveAbsentIsFalse) {
 }
 
 TEST(PacketPhyInfoTest, Defaults) {
-  PacketPhyInfo info;
-  EXPECT_FALSE(info.white);
-  EXPECT_EQ(info.lqi, 0);
+  const FixedPhyInfo info;
+  EXPECT_FALSE(info.white());
+  EXPECT_EQ(info.lqi(), 0);
 }
 
 }  // namespace

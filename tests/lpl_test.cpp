@@ -2,7 +2,9 @@
 // duplicate suppression, ack semantics, and full-stack operation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <unordered_map>
 
 #include "mac/csma.hpp"
 #include "mac/lpl.hpp"
@@ -177,6 +179,62 @@ TEST_F(LplFixture, QueuedSendsServeInOrder) {
   }
   sim_.run_for(sim::Duration::from_seconds(5.0));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+/// The duplicate filter as a hash map that drops expired entries only
+/// once it holds more than 64: the reference RecentFrames must decide
+/// like.
+class MapRecentFrames {
+ public:
+  bool check_and_insert(NodeId src, std::uint8_t dsn, sim::Time now,
+                        sim::Duration hold) {
+    const std::uint32_t key =
+        static_cast<std::uint32_t>(src.value()) << 8 | dsn;
+    if (recent_.size() > 64) {
+      std::erase_if(recent_,
+                    [now](const auto& kv) { return kv.second <= now; });
+    }
+    const auto [it, inserted] = recent_.try_emplace(key, now + hold);
+    if (!inserted) {
+      if (it->second > now) return true;
+      it->second = now + hold;
+    }
+    return false;
+  }
+
+ private:
+  std::unordered_map<std::uint32_t, sim::Time> recent_;
+};
+
+TEST(RecentFramesTest, DecidesLikeTheMapOverRandomTraffic) {
+  // Copies from a few senders, DSNs that repeat, and time steps, some
+  // of them zero, that cross the hold; two hold lengths.
+  for (const std::int64_t hold_ms : {1126, 40}) {
+    const auto hold = sim::Duration::from_ms(hold_ms);
+    RecentFrames flat;
+    MapRecentFrames map;
+    sim::Rng rng{99 + static_cast<std::uint64_t>(hold_ms)};
+    std::int64_t now_us = 0;
+    std::size_t duplicates = 0;
+    std::size_t peak = 0;
+    for (int i = 0; i < 200'000; ++i) {
+      if (rng.bernoulli(0.7)) {
+        now_us += static_cast<std::int64_t>(rng.uniform_int(60'000));
+      }
+      const auto now = sim::Time::from_us(now_us);
+      const NodeId src{static_cast<std::uint16_t>(1 + rng.uniform_int(6))};
+      const auto dsn = static_cast<std::uint8_t>(rng.uniform_int(4));
+      const bool dup = flat.check_and_insert(src, dsn, now, hold);
+      ASSERT_EQ(dup, map.check_and_insert(src, dsn, now, hold))
+          << "step " << i;
+      duplicates += static_cast<std::size_t>(dup);
+      peak = std::max(peak, flat.size());
+    }
+    EXPECT_GT(duplicates, 10'000u);
+    EXPECT_LT(duplicates, 190'000u);
+    // At most one entry per (src, dsn) pair.
+    EXPECT_LE(peak, 24u);
+  }
 }
 
 TEST(LplStackTest, CollectionRunsOverLpl) {

@@ -539,7 +539,7 @@ void warm_ten_links(core::FourBitEstimator& est, RoutingEngine& routing) {
       const auto routing_payload = beacon_from(NodeId{99}, ten_link_cost(n));
       wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
       const auto payload = est.unwrap_beacon(
-          NodeId{n}, wire, link::PacketPhyInfo{.white = true});
+          NodeId{n}, wire, link::FixedPhyInfo{true, 0});
       ASSERT_TRUE(payload.has_value());
       routing.on_beacon(NodeId{n}, *payload);
     }
@@ -767,7 +767,7 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
       const auto routing_payload = beacon_from(advertised_parent, advertised);
       wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
       const auto payload = est.unwrap_beacon(
-          from, wire, link::PacketPhyInfo{.white = rng.bernoulli(0.7)});
+          from, wire, link::FixedPhyInfo{rng.bernoulli(0.7), 0});
       if (!payload.has_value()) continue;
       const std::size_t before = routing.route_table().size();
       const bool known = routing.route(from).has_value();
@@ -1018,7 +1018,7 @@ TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
       const auto routing_payload = beacon_from(advertised_parent, advertised);
       wire.insert(wire.end(), routing_payload.begin(), routing_payload.end());
       const auto payload = est.unwrap_beacon(
-          from, wire, link::PacketPhyInfo{.white = rng.bernoulli(0.7)});
+          from, wire, link::FixedPhyInfo{rng.bernoulli(0.7), 0});
       if (!payload.has_value()) continue;
       routing.on_beacon(from, *payload);
     } else if (op < 32) {
@@ -1244,7 +1244,7 @@ TEST_F(ForwardingFixture, ForwardsReceivedDataWithIncrementedThl) {
   h.thl = 3;
   h.sender_path_etx = 10.0;
   forwarding_.on_data(NodeId{5}, h.encode(std::vector<std::uint8_t>{7}),
-                      link::PacketPhyInfo{});
+                      link::FixedPhyInfo{});
   ASSERT_EQ(sends_.size(), 1u);
   const auto fwd = decode_data(sends_[0].payload);
   ASSERT_TRUE(fwd.has_value());
@@ -1258,8 +1258,8 @@ TEST_F(ForwardingFixture, DuplicateDataDropped) {
   h.seq = 9;
   h.sender_path_etx = 10.0;
   const auto bytes = h.encode(std::vector<std::uint8_t>{});
-  forwarding_.on_data(NodeId{5}, bytes, link::PacketPhyInfo{});
-  forwarding_.on_data(NodeId{5}, bytes, link::PacketPhyInfo{});
+  forwarding_.on_data(NodeId{5}, bytes, link::FixedPhyInfo{});
+  forwarding_.on_data(NodeId{5}, bytes, link::FixedPhyInfo{});
   EXPECT_EQ(sends_.size(), 1u);
   EXPECT_EQ(metrics_.duplicate_rx(), 1u);
 }
@@ -1271,7 +1271,7 @@ TEST_F(ForwardingFixture, ThlCapDropsCirclingPackets) {
   h.thl = static_cast<std::uint8_t>(config_.max_thl);
   h.sender_path_etx = 10.0;
   forwarding_.on_data(NodeId{5}, h.encode(std::vector<std::uint8_t>{}),
-                      link::PacketPhyInfo{});
+                      link::FixedPhyInfo{});
   EXPECT_TRUE(sends_.empty());
 }
 
@@ -1301,7 +1301,7 @@ TEST_F(ForwardingFixture, RootDeliversToSink) {
   h.seq = 1;
   h.sender_path_etx = 1.0;
   root_fwd.on_data(NodeId{5}, h.encode(std::vector<std::uint8_t>{1, 2}),
-                   link::PacketPhyInfo{});
+                   link::FixedPhyInfo{});
   EXPECT_EQ(sink_packets, 1);
   EXPECT_EQ(metrics_.delivered_unique_total(), 1u);
 }

@@ -482,6 +482,175 @@ TEST(InterferenceTest, GilbertElliottStateIndependentOfQueryOrder) {
   }
 }
 
+/// The Gilbert–Elliott model as it answered before its per-node state
+/// was split into an id-indexed dwell and a separate chain stream: one
+/// record per node with an `affected` flag, a query that returns early
+/// for unaffected nodes, and a virtual call. The oracle for the inline
+/// query below.
+class ReferenceGilbertElliott final : public InterferenceModel {
+ public:
+  using Config = GilbertElliottInterference::Config;
+
+  struct NodeState {
+    bool affected = false;
+    bool bad = false;
+    sim::Time state_until;
+    sim::Rng rng;
+  };
+
+  ReferenceGilbertElliott(Config config, sim::Rng rng)
+      : config_(config), rng_(rng) {}
+
+  [[nodiscard]] double destroy_probability(NodeId rx, sim::Time start,
+                                           sim::Time end) override {
+    NodeState& st = state_for(rx);
+    if (!st.affected) return 0.0;
+    const sim::Time mid = start + (end - start) * 0.5;
+    advance(st, mid);
+    return st.bad ? config_.bad_loss_probability : 0.0;
+  }
+
+  [[nodiscard]] bool in_bad_state(NodeId rx, sim::Time t) {
+    NodeState& st = state_for(rx);
+    if (!st.affected) return false;
+    advance(st, t);
+    return st.bad;
+  }
+
+  /// The node's record, or nullptr before its first query.
+  [[nodiscard]] const NodeState* state(NodeId rx) const {
+    const auto it = std::find(ids_.begin(), ids_.end(), rx);
+    return it == ids_.end() ? nullptr : &states_[it - ids_.begin()];
+  }
+
+ private:
+  NodeState& state_for(NodeId rx) {
+    const auto it = std::find(ids_.begin(), ids_.end(), rx);
+    if (it != ids_.end()) return states_[it - ids_.begin()];
+    NodeState st{.affected = false,
+                 .bad = false,
+                 .state_until = sim::Time{},
+                 .rng = rng_.fork(rx.value())};
+    st.affected =
+        rx != config_.exempt && st.rng.bernoulli(config_.affected_fraction);
+    st.state_until = sim::Time::from_us(0) +
+                     sim::Duration::from_seconds(
+                         st.rng.exponential(config_.mean_good.seconds()));
+    ids_.push_back(rx);
+    states_.push_back(st);
+    return states_.back();
+  }
+
+  void advance(NodeState& st, sim::Time t) {
+    while (st.state_until <= t) {
+      st.bad = !st.bad;
+      const sim::Duration mean =
+          st.bad ? config_.mean_bad : config_.mean_good;
+      st.state_until =
+          st.state_until +
+          sim::Duration::from_seconds(st.rng.exponential(mean.seconds()));
+    }
+  }
+
+  Config config_;
+  sim::Rng rng_;
+  std::vector<NodeId> ids_;
+  std::vector<NodeState> states_;
+};
+
+/// Whether two chain streams stand at the same place: their next draws
+/// agree (copies are drawn from, so neither stream moves).
+bool same_stream(sim::Rng a, sim::Rng b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a.next_u64() != b.next_u64()) return false;
+  }
+  return true;
+}
+
+TEST(InterferenceTest, GilbertElliottMatchesReferenceOverRandomQueries) {
+  // Short dwells, so a few simulated hours cross thousands of edges. Node
+  // 3 is exempt; about half the rest are affected; id 300 sits far past
+  // the others in the id-indexed state.
+  GilbertElliottInterference::Config cfg;
+  cfg.mean_good = sim::Duration::from_seconds(20.0);
+  cfg.mean_bad = sim::Duration::from_seconds(5.0);
+  cfg.bad_loss_probability = 0.8;
+  cfg.affected_fraction = 0.45;
+  cfg.exempt = NodeId{3};
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    GilbertElliottInterference fast{cfg, sim::Rng{seed}};
+    ReferenceGilbertElliott ref{cfg, sim::Rng{seed}};
+    const std::vector<NodeId> ids{NodeId{0}, NodeId{1}, NodeId{2},
+                                  NodeId{3}, NodeId{4}, NodeId{5},
+                                  NodeId{6}, NodeId{7}, NodeId{8},
+                                  NodeId{9}, NodeId{10}, NodeId{300}};
+    sim::Rng pick{seed + 100};
+    std::int64_t now_us = 0;
+    int late = 0;
+    int edges = 0;
+    int bad = 0;
+    for (int step = 0; step < 40'000; ++step) {
+      now_us += static_cast<std::int64_t>(pick.uniform_int(500'000));
+      const NodeId rx = ids[pick.uniform_int(ids.size())];
+      const auto kind = pick.uniform_int(10);
+      if (kind < 6) {
+        // A reception; one in five is late: it started well before the
+        // node's latest query, so its midpoint is the earlier one.
+        std::int64_t start_us = now_us;
+        if (pick.bernoulli(0.2)) {
+          start_us -= static_cast<std::int64_t>(pick.uniform_int(3'000'000));
+          start_us = std::max<std::int64_t>(start_us, 0);
+          ++late;
+        }
+        const auto start = sim::Time::from_us(start_us);
+        const auto end =
+            start + sim::Duration::from_us(static_cast<std::int64_t>(
+                        300 + pick.uniform_int(8'000)));
+        const double p = fast.destroy_probability(rx, start, end);
+        ASSERT_EQ(p, ref.destroy_probability(rx, start, end))
+            << "seed " << seed << " step " << step << " node " << rx.value();
+        bad += static_cast<int>(p > 0.0);
+      } else if (kind < 8) {
+        const auto t = sim::Time::from_us(now_us);
+        ASSERT_EQ(fast.in_bad_state(rx, t), ref.in_bad_state(rx, t))
+            << "seed " << seed << " step " << step;
+      } else if (const auto* st = ref.state(rx); st != nullptr) {
+        // A dwell edge: the reference's dwell end, one microsecond
+        // either side, or a frame whose midpoint is exactly the end.
+        // For an unaffected node that is its never-advanced first draw.
+        const sim::Time until = st->state_until;
+        const auto off = static_cast<std::int64_t>(pick.uniform_int(4));
+        ++edges;
+        if (off == 3) {
+          const auto start = until + sim::Duration::from_us(-1000);
+          const auto end = until + sim::Duration::from_us(1000);
+          ASSERT_EQ(fast.destroy_probability(rx, start, end),
+                    ref.destroy_probability(rx, start, end))
+              << "seed " << seed << " step " << step;
+        } else {
+          const auto t = until + sim::Duration::from_us(off - 1);
+          ASSERT_EQ(fast.in_bad_state(rx, t), ref.in_bad_state(rx, t))
+              << "seed " << seed << " step " << step;
+        }
+      }
+      const auto* st = ref.state(rx);
+      const sim::Rng* chain = fast.chain_rng(rx);
+      ASSERT_EQ(chain == nullptr, st == nullptr);
+      if (st != nullptr) {
+        ASSERT_TRUE(same_stream(*chain, st->rng))
+            << "seed " << seed << " step " << step << " node " << rx.value();
+      }
+    }
+    EXPECT_GT(late, 1000);
+    EXPECT_GT(edges, 1000);
+    EXPECT_GT(bad, 100);
+    for (const NodeId id : ids) {
+      ASSERT_NE(ref.state(id), nullptr);
+      EXPECT_TRUE(same_stream(*fast.chain_rng(id), ref.state(id)->rng));
+    }
+  }
+}
+
 TEST(InterferenceTest, ScheduledBurstWindowing) {
   std::vector<ScheduledBurstInterference::Burst> bursts = {
       {NodeId{1}, sim::Time::from_us(100), sim::Time::from_us(200), 0.5},
@@ -718,6 +887,56 @@ TEST(ChannelBurstTest, BurstDestroysWithoutLqiTrace) {
   }
   EXPECT_EQ(received, 5);
   EXPECT_GE(min_lqi, 100);
+}
+
+/// Every delivery (receiver, clean or corrupt, LQI) of a round-robin
+/// broadcast run over 12 radios, under `interference`.
+std::vector<std::int64_t> burst_run(
+    std::unique_ptr<InterferenceModel> interference) {
+  sim::Simulator sim;
+  Channel channel{sim, PhyConfig{}, PropagationConfig{},
+                  std::move(interference), sim::Rng{5}};
+  std::vector<std::unique_ptr<Radio>> radios;
+  std::vector<std::int64_t> deliveries;
+  for (std::uint16_t i = 0; i < 12; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        channel, NodeId{static_cast<std::uint16_t>(i + 1)},
+        Position{static_cast<double>(i % 4) * 12.0,
+                 static_cast<double>(i / 4) * 12.0},
+        HardwareProfile{}, PowerDbm{0.0}));
+    radios.back()->set_rx_handler(
+        [&deliveries, i](std::span<const std::uint8_t>, const RxInfo& info) {
+          deliveries.push_back(i * 1000 + (info.fcs_ok ? 500 : 0) +
+                               info.lqi());
+        });
+  }
+  for (int k = 0; k < 3000; ++k) {
+    radios[static_cast<std::size_t>(k) % radios.size()]->transmit(
+        std::vector<std::uint8_t>(30, 7), nullptr);
+    sim.run_until(sim.now() + sim::Duration::from_ms(700));
+  }
+  return deliveries;
+}
+
+TEST(ChannelBurstTest, DirectGilbertElliottQueryMatchesVirtualReference) {
+  // The channel calls the Gilbert–Elliott model directly; the reference
+  // model, being another type, goes through the virtual call. Every
+  // delivery must agree, and the bursts must have destroyed some.
+  GilbertElliottInterference::Config cfg;
+  cfg.mean_good = sim::Duration::from_seconds(30.0);
+  cfg.mean_bad = sim::Duration::from_seconds(10.0);
+  cfg.exempt = NodeId{1};
+  const auto direct = burst_run(
+      std::make_unique<GilbertElliottInterference>(cfg, sim::Rng{9}));
+  const auto reference =
+      burst_run(std::make_unique<ReferenceGilbertElliott>(cfg, sim::Rng{9}));
+  const auto calm = burst_run(std::make_unique<NullInterference>());
+  EXPECT_EQ(direct, reference);
+  const auto clean = [](const std::vector<std::int64_t>& d) {
+    return std::count_if(d.begin(), d.end(),
+                         [](std::int64_t v) { return v % 1000 >= 500; });
+  };
+  EXPECT_LT(clean(direct) + 100, clean(calm));
 }
 
 }  // namespace

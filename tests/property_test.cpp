@@ -38,9 +38,9 @@ TEST_P(EstimatorFuzz, InvariantsHoldUnderRandomOps) {
     const NodeId n{static_cast<std::uint16_t>(1 + rng.uniform_int(40))};
     if (op < 50) {
       // Beacon (random white bit, advancing per-node sequence number).
-      link::PacketPhyInfo info;
-      info.white = rng.bernoulli(0.6);
-      info.lqi = static_cast<int>(60 + rng.uniform_int(50));
+      const bool white = rng.bernoulli(0.6);
+      const link::FixedPhyInfo info{
+          white, static_cast<int>(60 + rng.uniform_int(50))};
       auto& seq = seqs[n.value() - 1];
       seq = static_cast<std::uint8_t>(seq + 1 + rng.uniform_int(3));
       const std::vector<std::uint8_t> wire{seq};
