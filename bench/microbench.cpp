@@ -156,7 +156,7 @@ double route_cost_of(std::uint16_t n) { return 1.0 + 0.25 * n; }
 /// warm-up did not reach the 10-link, 14-route, parent-1 shape.
 bool warm_route_engine(benchmark::State& state, link::LinkEstimator& est,
                        net::RoutingEngine& routing) {
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   for (std::uint8_t seq = 0; seq < 3; ++seq) {
     for (std::uint16_t n = 1; n <= 10; ++n) {
@@ -253,7 +253,7 @@ void BM_RouteBeaconTrim(benchmark::State& state) {
   sim::Simulator sim;
   net::RoutingEngine routing{sim, NodeId{100}, false, est,
                              net::CollectionConfig{}, sim::Rng{1}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   std::vector<std::vector<std::uint8_t>> wires;  // [seq][routing payload]
   for (std::uint16_t n = 1; n <= 30; ++n) {
@@ -440,8 +440,10 @@ void BM_BurstInterferenceQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_BurstInterferenceQuery);
 
-/// A MAC stub for benches above the MAC: records what its node sends and
-/// hands the bench the node's receive handler.
+/// A MAC stub for benches above the MAC: keeps a copy of the last frame
+/// its node sent (in one reused buffer, as a MAC queue slot would),
+/// completes every send at once, unicasts acked, and hands the bench the
+/// node's receive handler.
 class StubMac final : public mac::Mac {
  public:
   explicit StubMac(NodeId id) : id_(id) {}
@@ -449,10 +451,11 @@ class StubMac final : public mac::Mac {
   [[nodiscard]] NodeId id() const override { return id_; }
   void set_rx_handler(RxHandler h) override { rx_ = std::move(h); }
   void set_snoop_handler(RxHandler) override {}
-  void send(NodeId, std::span<const std::uint8_t> payload,
+  void send(NodeId dst, std::span<const std::uint8_t> payload,
             SendCallback done) override {
-    sent.emplace_back(payload.begin(), payload.end());
-    if (done) done(mac::TxResult{});
+    last.assign(payload.begin(), payload.end());
+    ++sends;
+    if (done) done(mac::TxResult{.acked = dst != kBroadcastId});
   }
   [[nodiscard]] std::size_t queue_depth() const override { return 0; }
 
@@ -461,7 +464,8 @@ class StubMac final : public mac::Mac {
     rx_(src, 0, payload, info);
   }
 
-  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<std::uint8_t> last;
+  std::uint64_t sends = 0;
 
  private:
   NodeId id_;
@@ -490,11 +494,11 @@ void BM_CollectionNodeBeaconRx(benchmark::State& state) {
       runner::make_estimator(profile, NodeId{2}, 10, sim::Rng{3}),
       /*is_root=*/false, net::CollectionConfig{}, nullptr, sim::Rng{4}};
   root.boot();
-  while (root_mac.sent.empty()) {
+  while (root_mac.sends == 0) {
     sim.run_until(sim.now() + sim::Duration::from_seconds(1.0));
   }
   // [dispatch][estimator sequence number][routing payload]
-  std::vector<std::uint8_t> frame = root_mac.sent.front();
+  std::vector<std::uint8_t> frame = root_mac.last;
   sim::Rng lqi_rng{5};
   const phy::WhiteBitRule rule = phy::WhiteBitRule::of(phy::PhyConfig{});
   for (auto _ : state) {
@@ -507,6 +511,122 @@ void BM_CollectionNodeBeaconRx(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectionNodeBeaconRx)->Arg(0)->Arg(1);
 
+/// A root's first beacon frame, as its node put it on the MAC.
+std::vector<std::uint8_t> first_beacon_frame(sim::Simulator& sim,
+                                             net::CollectionNode& root,
+                                             StubMac& root_mac) {
+  root.boot();
+  while (root_mac.sends == 0) {
+    sim.run_until(sim.now() + sim::Duration::from_seconds(1.0));
+  }
+  return root_mac.last;
+}
+
+/// Data forwarding through a relay CollectionNode over 4B: a child's
+/// data frame is received, passes the duplicate cache, enters the
+/// forwarding queue, is encoded into the node's frame buffer and sent;
+/// the stub MAC acks at once, so the ack bit reaches the estimator and
+/// the queue slot is freed before the next frame. Each frame carries the
+/// next sequence number and 20 bytes of application payload.
+void BM_CollectionNodeDataForward(benchmark::State& state) {
+  sim::Simulator sim;
+  StubMac root_mac{NodeId{1}};
+  StubMac relay_mac{NodeId{2}};
+  net::CollectionNode root{
+      sim, root_mac,
+      runner::make_estimator(runner::Profile::kFourBit, NodeId{1}, 10,
+                             sim::Rng{1}),
+      /*is_root=*/true, net::CollectionConfig{}, nullptr, sim::Rng{2}};
+  net::CollectionNode relay{
+      sim, relay_mac,
+      runner::make_estimator(runner::Profile::kFourBit, NodeId{2}, 10,
+                             sim::Rng{3}),
+      /*is_root=*/false, net::CollectionConfig{}, nullptr, sim::Rng{4}};
+  const phy::WhiteBitRule rule = phy::WhiteBitRule::of(phy::PhyConfig{});
+  sim::Rng lqi_rng{5};
+  relay.boot();
+  relay_mac.deliver(NodeId{1}, first_beacon_frame(sim, root, root_mac),
+                    phy::RxInfo{PowerDbm{-85.0}, 12.0, lqi_rng.normal_draw(),
+                                rule});
+  // The relay's own packet shows the data dispatch byte.
+  const std::vector<std::uint8_t> app(20, 0xAB);
+  if (!relay.routing().has_route() || !relay.send(app)) {
+    state.SkipWithError("relay found no route");
+    return;
+  }
+  std::vector<std::uint8_t> frame{relay_mac.last.front()};
+  net::DataHeader h;
+  h.origin = NodeId{3};
+  h.sender_path_etx = 100.0;  // the child is farther from the root
+  h.append_to(frame, app);
+  const std::uint64_t sends = relay_mac.sends;
+  std::uint16_t seq = 0;
+  for (auto _ : state) {
+    ++seq;
+    frame[3] = static_cast<std::uint8_t>(seq >> 8);  // DataHeader::seq
+    frame[4] = static_cast<std::uint8_t>(seq & 0xFF);
+    const phy::RxInfo info{PowerDbm{-85.0}, 12.0, lqi_rng.normal_draw(),
+                           rule};
+    relay_mac.deliver(NodeId{3}, frame, info);
+  }
+  if (relay_mac.sends - sends !=
+      static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a received frame was not forwarded");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CollectionNodeDataForward);
+
+/// Beacon transmission through a CollectionNode on a fixed 1 s beacon
+/// interval: the beacon timer fires, the routing engine encodes its
+/// beacon, the estimator wraps it after the dispatch byte in the node's
+/// frame buffer, and the MAC takes its copy. Items are the beacons of
+/// both nodes (a root and a node with a full 10-entry table). Arg 0 runs
+/// 4B (a sequence-number header); arg 1 runs stock CTP's broadcast ETX,
+/// whose footer reports the node's table in turn.
+void BM_CollectionNodeBeaconTx(benchmark::State& state) {
+  const runner::Profile profile = state.range(0) == 0
+                                      ? runner::Profile::kFourBit
+                                      : runner::Profile::kCtpT2;
+  sim::Simulator sim;
+  StubMac root_mac{NodeId{1}};
+  StubMac node_mac{NodeId{2}};
+  net::CollectionConfig config;
+  config.beacon_timing = net::BeaconTiming::kFixed;
+  config.fixed_beacon_interval = sim::Duration::from_seconds(1.0);
+  net::CollectionNode root{
+      sim, root_mac,
+      runner::make_estimator(profile, NodeId{1}, 10, sim::Rng{1}),
+      /*is_root=*/true, config, nullptr, sim::Rng{2}};
+  net::CollectionNode node{
+      sim, node_mac,
+      runner::make_estimator(profile, NodeId{2}, 10, sim::Rng{3}),
+      /*is_root=*/false, config, nullptr, sim::Rng{4}};
+  // Fill the node's table: the root's beacon, heard from ten neighbors.
+  const std::vector<std::uint8_t> beacon =
+      first_beacon_frame(sim, root, root_mac);
+  const phy::WhiteBitRule rule = phy::WhiteBitRule::of(phy::PhyConfig{});
+  sim::Rng lqi_rng{5};
+  for (std::uint16_t n = 3; n <= 12; ++n) {
+    node_mac.deliver(NodeId{n}, beacon,
+                     phy::RxInfo{PowerDbm{-85.0}, 12.0,
+                                 lqi_rng.normal_draw(), rule});
+  }
+  node.boot();
+  const std::uint64_t sends = root_mac.sends + node_mac.sends;
+  for (auto _ : state) {
+    sim.run_for(sim::Duration::from_seconds(1.0));
+  }
+  if (node.estimator().neighbors().size() != 10) {
+    state.SkipWithError("the node's table did not fill");
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(root_mac.sends + node_mac.sends - sends));
+}
+BENCHMARK(BM_CollectionNodeBeaconTx)->Arg(0)->Arg(1);
+
+/// The forwarding engine's encode into its reused buffer, then the
+/// receive path's view parse.
 void BM_DataHeaderRoundTrip(benchmark::State& state) {
   net::DataHeader h;
   h.origin = NodeId{3};
@@ -514,9 +634,11 @@ void BM_DataHeaderRoundTrip(benchmark::State& state) {
   h.thl = 2;
   h.sender_path_etx = 3.7;
   const std::vector<std::uint8_t> payload(20, 0xCD);
+  std::vector<std::uint8_t> bytes;
   for (auto _ : state) {
-    const auto bytes = h.encode(payload);
-    benchmark::DoNotOptimize(net::decode_data(bytes));
+    bytes.clear();
+    h.append_to(bytes, payload);
+    benchmark::DoNotOptimize(net::decode_data_view(bytes));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -11,27 +11,24 @@ namespace fourbit::core {
 FourBitEstimator::FourBitEstimator(FourBitConfig config, sim::Rng rng)
     : config_(config), rng_(rng), table_(config.table_capacity) {}
 
-std::vector<std::uint8_t> FourBitEstimator::wrap_beacon(
-    std::span<const std::uint8_t> routing_payload) {
+void FourBitEstimator::wrap_beacon(
+    std::span<const std::uint8_t> routing_payload,
+    std::vector<std::uint8_t>& out) {
   // Layer 2.5 header is a single sequence number; receivers measure the
   // beacon reception rate from the gaps. No per-neighbor footer — that is
   // the point: in-degree stays decoupled from table size.
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + routing_payload.size());
   ByteWriter w{out};
   w.u8(beacon_seq_++);
   w.bytes(routing_payload);
-  return out;
 }
 
-std::optional<std::vector<std::uint8_t>> FourBitEstimator::unwrap_beacon(
+std::optional<std::span<const std::uint8_t>> FourBitEstimator::unwrap_beacon(
     NodeId from, std::span<const std::uint8_t> bytes,
     const link::PacketPhyInfo& phy) {
   ByteReader r{bytes};
   const std::uint8_t seq = r.u8();
   if (!r.ok()) return std::nullopt;
-  const auto payload_span = r.rest();
-  std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
+  const auto payload = r.rest();
 
   if (Table::Entry* entry = table_.find(from)) {
     note_beacon(*entry, seq, phy);

@@ -40,9 +40,9 @@ class FourBitEstimator final : public link::LinkEstimator {
   FourBitEstimator(FourBitConfig config, sim::Rng rng);
 
   // ---- link::LinkEstimator ----
-  [[nodiscard]] std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> routing_payload) override;
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+  void wrap_beacon(std::span<const std::uint8_t> routing_payload,
+                   std::vector<std::uint8_t>& out) override;
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> unwrap_beacon(
       NodeId from, std::span<const std::uint8_t> bytes,
       const link::PacketPhyInfo& phy) override;
   void on_unicast_result(NodeId to, bool acked) override;

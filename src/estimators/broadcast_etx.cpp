@@ -27,37 +27,38 @@ BroadcastEtxEstimator::BroadcastEtxEstimator(NodeId self,
                                              sim::Rng rng)
     : self_(self), config_(config), rng_(rng), table_(config.table_capacity) {}
 
-std::vector<std::uint8_t> BroadcastEtxEstimator::wrap_beacon(
-    std::span<const std::uint8_t> routing_payload) {
+void BroadcastEtxEstimator::wrap_beacon(
+    std::span<const std::uint8_t> routing_payload,
+    std::vector<std::uint8_t>& out) {
   // Header: seq, footer-count; footer: (node, inbound quality) pairs.
   // With more table entries than footer_max, consecutive beacons rotate
-  // through the table so every neighbor is eventually reported.
-  std::vector<std::uint8_t> out;
+  // through the table so every neighbor is eventually reported. The
+  // count byte is reserved first and patched once the footer is written.
   ByteWriter w{out};
   w.u8(beacon_seq_++);
+  const std::size_t count_at = out.size();
+  w.u8(0);
 
   const auto& entries = table_.entries();
-  std::vector<std::pair<NodeId, std::uint8_t>> footer;
   const std::size_t n = entries.size();
-  for (std::size_t i = 0; i < n && footer.size() < config_.footer_max; ++i) {
+  std::size_t reported = 0;
+  for (std::size_t i = 0; i < n && reported < config_.footer_max; ++i) {
     const auto& e = entries[(footer_rotation_ + i) % n];
     if (!e.data.inbound_prr.has_value()) continue;
-    footer.emplace_back(e.node, quantize_prr(e.data.inbound_prr.value()));
+    w.u16(e.node.value());
+    w.u8(quantize_prr(e.data.inbound_prr.value()));
+    ++reported;
   }
   if (n > 0) footer_rotation_ = (footer_rotation_ + config_.footer_max) % n;
+  out[count_at] = static_cast<std::uint8_t>(reported);
 
-  w.u8(static_cast<std::uint8_t>(footer.size()));
-  for (const auto& [node, q] : footer) {
-    w.u16(node.value());
-    w.u8(q);
-  }
   w.bytes(routing_payload);
-  return out;
 }
 
-std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
-    NodeId from, std::span<const std::uint8_t> bytes,
-    const link::PacketPhyInfo& phy) {
+std::optional<std::span<const std::uint8_t>>
+BroadcastEtxEstimator::unwrap_beacon(NodeId from,
+                                     std::span<const std::uint8_t> bytes,
+                                     const link::PacketPhyInfo& phy) {
   ByteReader r{bytes};
   const std::uint8_t seq = r.u8();
   const std::uint8_t footer_count = r.u8();
@@ -73,8 +74,7 @@ std::optional<std::vector<std::uint8_t>> BroadcastEtxEstimator::unwrap_beacon(
     }
   }
   if (!r.ok()) return std::nullopt;
-  const auto payload_span = r.rest();
-  std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
+  const auto payload = r.rest();
 
   Table::Entry* entry = table_.find(from);
   const std::optional<double> etx_before =

@@ -54,9 +54,9 @@ class BroadcastEtxEstimator final : public link::LinkEstimator {
   /// incoming beacon footers (the reverse-direction quality report).
   BroadcastEtxEstimator(NodeId self, BroadcastEtxConfig config, sim::Rng rng);
 
-  [[nodiscard]] std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> routing_payload) override;
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+  void wrap_beacon(std::span<const std::uint8_t> routing_payload,
+                   std::vector<std::uint8_t>& out) override;
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> unwrap_beacon(
       NodeId from, std::span<const std::uint8_t> bytes,
       const link::PacketPhyInfo& phy) override;
 

@@ -12,24 +12,20 @@ namespace fourbit::estimators {
 LqiEstimator::LqiEstimator(LqiEstimatorConfig config, sim::Rng rng)
     : config_(config), rng_(rng), table_(config.table_capacity) {}
 
-std::vector<std::uint8_t> LqiEstimator::wrap_beacon(
-    std::span<const std::uint8_t> routing_payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(1 + routing_payload.size());
+void LqiEstimator::wrap_beacon(std::span<const std::uint8_t> routing_payload,
+                               std::vector<std::uint8_t>& out) {
   ByteWriter w{out};
   w.u8(beacon_seq_++);
   w.bytes(routing_payload);
-  return out;
 }
 
-std::optional<std::vector<std::uint8_t>> LqiEstimator::unwrap_beacon(
+std::optional<std::span<const std::uint8_t>> LqiEstimator::unwrap_beacon(
     NodeId from, std::span<const std::uint8_t> bytes,
     const link::PacketPhyInfo& phy) {
   ByteReader r{bytes};
   (void)r.u8();  // sequence number: LQI estimation does not need gaps
   if (!r.ok()) return std::nullopt;
-  const auto payload_span = r.rest();
-  std::vector<std::uint8_t> payload{payload_span.begin(), payload_span.end()};
+  const auto payload = r.rest();
   note_lqi(from, phy.lqi());
   return payload;
 }

@@ -45,9 +45,9 @@ class LqiEstimator final : public link::LinkEstimator {
  public:
   LqiEstimator(LqiEstimatorConfig config, sim::Rng rng);
 
-  [[nodiscard]] std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> routing_payload) override;
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+  void wrap_beacon(std::span<const std::uint8_t> routing_payload,
+                   std::vector<std::uint8_t>& out) override;
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> unwrap_beacon(
       NodeId from, std::span<const std::uint8_t> bytes,
       const link::PacketPhyInfo& phy) override;
 

@@ -57,15 +57,19 @@ class LinkEstimator {
 
   // ---- layer 2.5 beacon wrapping ------------------------------------
 
-  /// Wraps the network layer's beacon payload with this estimator's
-  /// header/footer. The result is what goes into the MAC broadcast.
-  [[nodiscard]] virtual std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> routing_payload) = 0;
+  /// Appends this estimator's header/footer and then the network layer's
+  /// beacon payload to `out`, after whatever `out` already holds (the
+  /// stack puts its dispatch byte there first). The appended bytes are
+  /// what the MAC broadcasts. `routing_payload` must not alias `out`.
+  virtual void wrap_beacon(std::span<const std::uint8_t> routing_payload,
+                           std::vector<std::uint8_t>& out) = 0;
 
   /// Processes a received beacon (updating link state, possibly inserting
   /// the sender into the table via the white/compare-bit policy) and
-  /// returns the embedded routing payload. nullopt = malformed.
-  [[nodiscard]] virtual std::optional<std::vector<std::uint8_t>>
+  /// returns the embedded routing payload: the tail of `bytes`, valid
+  /// exactly as long as `bytes` is (in the stack, for the delivery call).
+  /// nullopt = malformed.
+  [[nodiscard]] virtual std::optional<std::span<const std::uint8_t>>
   unwrap_beacon(NodeId from, std::span<const std::uint8_t> bytes,
                 const PacketPhyInfo& phy) = 0;
 
@@ -170,5 +174,15 @@ class LinkEstimator {
  private:
   std::uint64_t version_ = 0;
 };
+
+/// The wrapped beacon as a vector of its own, for code that scripts
+/// beacons one at a time (benches, examples, tests). The stack appends
+/// into its frame buffer instead.
+[[nodiscard]] inline std::vector<std::uint8_t> wrapped_beacon(
+    LinkEstimator& estimator, std::span<const std::uint8_t> routing_payload) {
+  std::vector<std::uint8_t> out;
+  estimator.wrap_beacon(routing_payload, out);
+  return out;
+}
 
 }  // namespace fourbit::link

@@ -28,14 +28,16 @@ void CsmaMac::send(NodeId dst, std::span<const std::uint8_t> payload,
 void CsmaMac::send_with_dsn(NodeId dst,
                             std::span<const std::uint8_t> payload,
                             std::uint8_t dsn, SendCallback done) {
-  Outgoing out;
+  // The bytes are copied here, before anything else runs: a caller may
+  // reuse its buffer as soon as send returns, or from inside `done`.
+  Outgoing& out = queue_.push_back();
   out.frame.type = FrameType::kData;
   out.frame.dsn = dsn;
   out.frame.src = id();
   out.frame.dst = dst;
   out.frame.payload.assign(payload.begin(), payload.end());
   out.done = std::move(done);
-  queue_.push_back(std::move(out));
+  out.cca_attempts = 0;
   service_queue();
 }
 
@@ -77,7 +79,8 @@ void CsmaMac::on_backoff_expired() {
 void CsmaMac::transmit_current() {
   const Outgoing& out = queue_.front();
   if (tx_listener_) tx_listener_(out.frame);
-  out.frame.encode_into(encode_buf_);
+  encode_buf_.clear();
+  out.frame.append_to(encode_buf_);
   radio_.transmit(encode_buf_, [this, epoch = epoch_] {
     if (epoch == epoch_) on_tx_done();
   });
@@ -116,10 +119,12 @@ void CsmaMac::on_ack_timeout() {
 }
 
 void CsmaMac::complete_current(TxResult result) {
-  Outgoing finished = std::move(queue_.front());
+  // Only the callback leaves the slot; the popped slot keeps its payload
+  // buffer for the next send, which `done` itself may issue.
+  SendCallback done = std::move(queue_.front().done);
   queue_.pop_front();
   busy_ = false;
-  if (finished.done) finished.done(result);
+  if (done) done(result);
   service_queue();
 }
 
@@ -196,7 +201,8 @@ void CsmaMac::try_send_ack() {
   ack.dsn = ack_dsn_;
   ack.dst = ack_to_;
   if (tx_listener_) tx_listener_(ack);
-  ack.encode_into(encode_buf_);
+  encode_buf_.clear();
+  ack.append_to(encode_buf_);
   radio_.transmit(encode_buf_, nullptr);
 }
 

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 
+#include "common/slot_queue.hpp"
 #include "mac/frame.hpp"
 #include "mac/mac.hpp"
 #include "phy/radio.hpp"
@@ -69,7 +69,9 @@ class CsmaMac final : public Mac {
   void set_tx_listener(TxListener l) { tx_listener_ = std::move(l); }
 
   /// Queues one transmission. Unicast frames request an ack; broadcast
-  /// frames complete when they leave the air with acked=false.
+  /// frames complete when they leave the air with acked=false. The bytes
+  /// are copied before send returns, so `payload` may be a buffer the
+  /// caller reuses.
   void send(NodeId dst, std::span<const std::uint8_t> payload,
             SendCallback done) override;
 
@@ -122,7 +124,8 @@ class CsmaMac final : public Mac {
   RxHandler snoop_handler_;
   TxListener tx_listener_;
 
-  std::deque<Outgoing> queue_;
+  // Slots keep their payload buffers across sends (common/slot_queue.hpp).
+  SlotQueue<Outgoing> queue_;
   // Reused wire-encode buffer: the radio copies the bytes into its
   // arena-pooled frame before transmit() returns, so one buffer per MAC
   // keeps the steady-state tx path free of heap allocation.

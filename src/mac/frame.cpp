@@ -5,14 +5,8 @@
 
 namespace fourbit::mac {
 
-std::vector<std::uint8_t> MacFrame::encode() const {
-  std::vector<std::uint8_t> out;
-  encode_into(out);
-  return out;
-}
-
-void MacFrame::encode_into(std::vector<std::uint8_t>& out) const {
-  out.clear();
+void MacFrame::append_to(std::vector<std::uint8_t>& out) const {
+  const std::size_t start = out.size();
   ByteWriter w{out};
   w.u8(static_cast<std::uint8_t>(type));
   w.u8(dsn);
@@ -23,7 +17,14 @@ void MacFrame::encode_into(std::vector<std::uint8_t>& out) const {
     w.u16(dst.value());
     w.bytes(payload);
   }
-  w.u16(crc16(out));
+  w.u16(crc16(std::span<const std::uint8_t>{out}.subspan(start)));
+}
+
+std::vector<std::uint8_t> MacFrame::encode() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(kDataHeaderBytes + payload.size() + kFcsBytes);
+  append_to(out);
+  return out;
 }
 
 std::optional<MacFrameView> MacFrameView::decode(

@@ -33,14 +33,16 @@ struct MacFrame {
 
   [[nodiscard]] bool is_broadcast() const { return dst == kBroadcastId; }
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
+  /// Appends the encoded frame, FCS included, to `out`. The FCS covers
+  /// only this frame's bytes, not what `out` held before. The MAC keeps
+  /// one encode buffer per stack, clears it and re-encodes into it for
+  /// every transmission; with Radio::transmit copying into the channel's
+  /// arena-pooled frame buffer, the steady-state tx path does not touch
+  /// the heap.
+  void append_to(std::vector<std::uint8_t>& out) const;
 
-  /// Encodes into `out` (cleared first), reusing its capacity. The MAC
-  /// keeps one encode buffer per stack and re-encodes into it for every
-  /// transmission — combined with Radio::transmit copying into the
-  /// channel's arena-pooled frame buffer, the steady-state tx path does
-  /// not touch the heap.
-  void encode_into(std::vector<std::uint8_t>& out) const;
+  /// The encoded frame as a vector of its own (tests, benches).
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// Returns nullopt for truncated or unknown frames.
   [[nodiscard]] static std::optional<MacFrame> decode(
@@ -52,9 +54,10 @@ struct MacFrame {
 /// the channel delivers a span of the in-flight frame with its FCS
 /// verdict, the MAC parses headers in place, and upper layers see the
 /// payload span without a single copy. The span is only valid for the
-/// duration of the delivery call; a consumer that keeps the bytes (e.g.
-/// the forwarding queue) must copy them (see DESIGN.md, "Channel fast
-/// path").
+/// duration of the delivery call, and so is every view an upper layer
+/// cuts from it: the estimator's unwrapped routing payload and the data
+/// packet's app payload. A consumer that keeps the bytes (the
+/// forwarding queue) must copy them (DESIGN.md §8.25).
 struct MacFrameView {
   FrameType type = FrameType::kData;
   std::uint8_t dsn = 0;

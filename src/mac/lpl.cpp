@@ -47,7 +47,7 @@ void LplMac::reset() {
   gap_timer_.stop();
   queue_.clear();  // callbacks dropped deliberately: their owners crashed
   tx_active_ = false;
-  current_ = Pending{};
+  current_.done = nullptr;
   sampling_ = false;
   hold_until_ = sim::Time{};
   recent_.clear();
@@ -89,18 +89,19 @@ void LplMac::update_listening() {
 
 void LplMac::send(NodeId dst, std::span<const std::uint8_t> payload,
                   SendCallback done) {
-  Pending p;
+  Pending& p = queue_.push_back();
   p.dst = dst;
   p.payload.assign(payload.begin(), payload.end());
   p.done = std::move(done);
-  queue_.push_back(std::move(p));
   service_queue();
 }
 
 void LplMac::service_queue() {
   if (tx_active_ || queue_.empty()) return;
   tx_active_ = true;
-  current_ = std::move(queue_.front());
+  // Swap rather than move: the slot takes over the finished train's
+  // payload buffer, whose callback finish_tx has already moved out.
+  std::swap(current_, queue_.front());
   queue_.pop_front();
   current_dsn_ = inner_.allocate_dsn();
   tx_deadline_ =

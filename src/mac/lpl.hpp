@@ -13,9 +13,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/slot_queue.hpp"
 #include "mac/csma.hpp"
 #include "mac/mac.hpp"
 #include "sim/rng.hpp"
@@ -133,7 +133,7 @@ class LplMac final : public Mac {
   sim::Time hold_until_;
 
   // Transmit train.
-  std::deque<Pending> queue_;
+  SlotQueue<Pending> queue_;
   bool tx_active_ = false;
   Pending current_;
   std::uint8_t current_dsn_ = 0;

@@ -39,6 +39,8 @@ class Mac {
   virtual void set_snoop_handler(RxHandler h) = 0;
 
   /// Queues one logical transmission; the callback reports its outcome.
+  /// The MAC copies `payload` before send returns and before it calls
+  /// anything, so a caller may build every frame in one buffer it reuses.
   virtual void send(NodeId dst, std::span<const std::uint8_t> payload,
                     SendCallback done) = 0;
 

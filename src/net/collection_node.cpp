@@ -43,30 +43,25 @@ CollectionNode::CollectionNode(sim::Simulator& sim, mac::Mac& mac,
     });
   }
 
-  routing_.set_beacon_sender([this](std::vector<std::uint8_t> payload) {
-    // Estimator wraps the routing payload (layer 2.5), then the dispatch
-    // byte goes in front and the result is broadcast.
-    std::vector<std::uint8_t> wrapped = estimator_->wrap_beacon(payload);
-    std::vector<std::uint8_t> frame;
-    frame.reserve(1 + wrapped.size());
-    frame.push_back(kDispatchBeacon);
-    frame.insert(frame.end(), wrapped.begin(), wrapped.end());
+  routing_.set_beacon_sender([this](std::span<const std::uint8_t> payload) {
+    // Dispatch byte, then the estimator's layer-2.5 wrapping of the
+    // routing payload, built in the node's frame buffer and broadcast.
+    frame_.clear();
+    frame_.push_back(kDispatchBeacon);
+    estimator_->wrap_beacon(payload, frame_);
     if (metrics_ != nullptr) metrics_->on_beacon_tx(id());
     sim_.telemetry().emit(sim::EventKind::kBeaconTx, id().value());
-    mac_.send(kBroadcastId, frame, nullptr);
+    mac_.send(kBroadcastId, frame_, nullptr);
   });
 
   forwarding_.set_data_sender(
-      [this](NodeId dst, std::vector<std::uint8_t> payload,
-             std::function<void(bool)> done) {
-        std::vector<std::uint8_t> frame;
-        frame.reserve(1 + payload.size());
-        frame.push_back(kDispatchData);
-        frame.insert(frame.end(), payload.begin(), payload.end());
-        mac_.send(dst, frame,
-                  [done = std::move(done)](const mac::TxResult& result) {
-                    if (done) done(result.acked);
-                  });
+      [this](NodeId dst, std::span<const std::uint8_t> packet) {
+        frame_.clear();
+        frame_.push_back(kDispatchData);
+        frame_.insert(frame_.end(), packet.begin(), packet.end());
+        mac_.send(dst, frame_, [this](const mac::TxResult& result) {
+          forwarding_.on_send_done(result.acked);
+        });
       });
 }
 

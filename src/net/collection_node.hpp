@@ -2,12 +2,14 @@
 // glued to a CSMA MAC.
 //
 // The glue owns the layer-2.5 dispatch byte that multiplexes estimator
-// beacons and data packets over the MAC, and hands the estimators the
-// PHY's RxInfo through the narrow PacketPhyInfo interface (RxPhyInfo).
+// beacons and data packets over the MAC, builds every outgoing frame in
+// one reused buffer, and hands the estimators the PHY's RxInfo through
+// the narrow PacketPhyInfo interface (RxPhyInfo).
 #pragma once
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "link/estimator.hpp"
@@ -78,6 +80,9 @@ class CollectionNode {
   stats::Metrics* metrics_;
   RoutingEngine routing_;
   ForwardingEngine forwarding_;
+  // Every outgoing frame is built here: the MAC copies it on send, so
+  // one buffer per node serves beacons and data alike.
+  std::vector<std::uint8_t> frame_;
   bool crashed_ = false;
 };
 

@@ -47,12 +47,12 @@ bool ForwardingEngine::send(std::span<const std::uint8_t> app_payload) {
     return false;
   }
 
-  Queued q;
+  Queued& q = queue_.push_back();
+  q.header = DataHeader{};
   q.header.origin = self_;
   q.header.seq = seq;
-  q.header.thl = 0;
   q.payload.assign(app_payload.begin(), app_payload.end());
-  queue_.push_back(std::move(q));
+  q.transmissions = 0;
   service();
   return true;
 }
@@ -101,11 +101,11 @@ void ForwardingEngine::on_data(NodeId from,
     return;
   }
 
-  Queued q;
+  Queued& q = queue_.push_back();
   q.header = h;
   q.header.thl = static_cast<std::uint8_t>(h.thl + 1);
   q.payload.assign(decoded->app_payload.begin(), decoded->app_payload.end());
-  queue_.push_back(std::move(q));
+  q.transmissions = 0;
   service();
 }
 
@@ -139,11 +139,12 @@ void ForwardingEngine::transmit_head() {
                         self_.value(), in_flight_dst_.value(), q.header.seq,
                         static_cast<std::uint16_t>(q.transmissions));
 
-  data_sender_(in_flight_dst_, q.header.encode(q.payload),
-               [this](bool acked) { on_tx_result(acked); });
+  packet_buf_.clear();
+  q.header.append_to(packet_buf_, q.payload);
+  data_sender_(in_flight_dst_, packet_buf_);
 }
 
-void ForwardingEngine::on_tx_result(bool acked) {
+void ForwardingEngine::on_send_done(bool acked) {
   FOURBIT_ASSERT(in_flight_ && !queue_.empty(), "tx result with no packet");
   in_flight_ = false;
 

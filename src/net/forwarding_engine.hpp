@@ -7,11 +7,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_set>
+#include <span>
+#include <vector>
 
 #include "common/ids.hpp"
+#include "common/slot_queue.hpp"
 #include "link/estimator.hpp"
 #include "net/config.hpp"
 #include "net/packets.hpp"
@@ -23,46 +24,54 @@
 
 namespace fourbit::net {
 
-/// Fixed-capacity FIFO set for (origin, seq) duplicate detection.
+/// Fixed-capacity FIFO set for (origin, seq) duplicate detection: one
+/// flat ring of at most `capacity` distinct keys, searched linearly. At
+/// capacity a new key overwrites the oldest.
 class DupCache {
  public:
-  explicit DupCache(std::size_t capacity) : capacity_(capacity) {}
+  /// A capacity of 0 keeps the last key, as 1 does.
+  explicit DupCache(std::size_t capacity)
+      : capacity_(capacity > 0 ? capacity : 1) {
+    keys_.reserve(capacity_);
+  }
 
   /// Returns true if the key was already present; inserts it otherwise
   /// (evicting the oldest entry at capacity).
   bool check_and_insert(NodeId origin, std::uint16_t seq) {
     const std::uint32_t key =
         static_cast<std::uint32_t>(origin.value()) << 16 | seq;
-    if (set_.contains(key)) return true;
-    if (fifo_.size() >= capacity_ && !fifo_.empty()) {
-      set_.erase(fifo_.front());
-      fifo_.pop_front();
+    for (const std::uint32_t k : keys_) {
+      if (k == key) return true;
     }
-    fifo_.push_back(key);
-    set_.insert(key);
+    if (keys_.size() < capacity_) {
+      keys_.push_back(key);
+    } else {
+      keys_[oldest_] = key;
+      if (++oldest_ == capacity_) oldest_ = 0;
+    }
     return false;
   }
 
-  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
+  [[nodiscard]] std::size_t size() const { return keys_.size(); }
 
   void clear() {
-    fifo_.clear();
-    set_.clear();
+    keys_.clear();
+    oldest_ = 0;
   }
 
  private:
   std::size_t capacity_;
-  std::deque<std::uint32_t> fifo_;
-  std::unordered_set<std::uint32_t> set_;
+  std::vector<std::uint32_t> keys_;  // reserved to capacity_ up front
+  std::size_t oldest_ = 0;           // next key to overwrite, once full
 };
 
 class ForwardingEngine {
  public:
-  /// Sends a network payload to `dst` over the MAC; the callback reports
-  /// the layer-2 ack outcome of that single transmission.
-  using DataSender = std::function<void(NodeId dst,
-                                        std::vector<std::uint8_t> payload,
-                                        std::function<void(bool acked)>)>;
+  /// Sends an encoded data packet to `dst` over the MAC. The span is
+  /// valid only for the call. The layer-2 outcome of that transmission
+  /// comes back through on_send_done.
+  using DataSender =
+      std::function<void(NodeId dst, std::span<const std::uint8_t> packet)>;
 
   /// Invoked at a root for every (non-duplicate) delivered packet.
   using SinkHandler = std::function<void(const DataHeader&,
@@ -83,6 +92,11 @@ class ForwardingEngine {
   /// A data frame arrived from the MAC (already ack'd at layer 2).
   void on_data(NodeId from, std::span<const std::uint8_t> bytes,
                const link::PacketPhyInfo& phy);
+
+  /// The MAC finished the transmission the last DataSender call started:
+  /// `acked` is its layer-2 ack outcome. Exactly one call per send,
+  /// except that a crash drops the outstanding one.
+  void on_send_done(bool acked);
 
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
   [[nodiscard]] std::uint16_t packets_originated() const {
@@ -105,7 +119,6 @@ class ForwardingEngine {
 
   void service();
   void transmit_head();
-  void on_tx_result(bool acked);
   void schedule_service(sim::Duration delay);
   void emit_drop(sim::DropReason reason, const DataHeader& header);
 
@@ -120,7 +133,9 @@ class ForwardingEngine {
   DataSender data_sender_;
   SinkHandler sink_handler_;
 
-  std::deque<Queued> queue_;
+  // Slots keep their payload buffers (common/slot_queue.hpp).
+  SlotQueue<Queued> queue_;
+  std::vector<std::uint8_t> packet_buf_;  // reused wire encoding
   bool in_flight_ = false;
   NodeId in_flight_dst_ = kInvalidNodeId;
   std::uint16_t next_seq_ = 0;

@@ -4,13 +4,17 @@
 
 namespace fourbit::net {
 
-std::vector<std::uint8_t> RoutingBeacon::encode() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kBytes);
+void RoutingBeacon::append_to(std::vector<std::uint8_t>& out) const {
   ByteWriter w{out};
   w.u8(pull ? 0x01 : 0x00);
   w.u16(parent.value());
   w.u16(quantize_etx(path_etx));
+}
+
+std::vector<std::uint8_t> RoutingBeacon::encode() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(kBytes);
+  append_to(out);
   return out;
 }
 
@@ -25,16 +29,21 @@ std::optional<RoutingBeacon> RoutingBeacon::decode(
   return b;
 }
 
-std::vector<std::uint8_t> DataHeader::encode(
-    std::span<const std::uint8_t> app_payload) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kBytes + app_payload.size());
+void DataHeader::append_to(std::vector<std::uint8_t>& out,
+                           std::span<const std::uint8_t> app_payload) const {
   ByteWriter w{out};
   w.u16(origin.value());
   w.u16(seq);
   w.u8(thl);
   w.u16(quantize_etx(sender_path_etx));
   w.bytes(app_payload);
+}
+
+std::vector<std::uint8_t> DataHeader::encode(
+    std::span<const std::uint8_t> app_payload) const {
+  std::vector<std::uint8_t> out;
+  out.reserve(kBytes + app_payload.size());
+  append_to(out, app_payload);
   return out;
 }
 
@@ -48,15 +57,6 @@ std::optional<DataView> decode_data_view(
   d.header.sender_path_etx = dequantize_etx(r.u16());
   if (!r.ok()) return std::nullopt;
   d.app_payload = r.rest();
-  return d;
-}
-
-std::optional<DecodedData> decode_data(std::span<const std::uint8_t> bytes) {
-  const auto view = decode_data_view(bytes);
-  if (!view.has_value()) return std::nullopt;
-  DecodedData d;
-  d.header = view->header;
-  d.app_payload.assign(view->app_payload.begin(), view->app_payload.end());
   return d;
 }
 

@@ -33,6 +33,10 @@ struct RoutingBeacon {
 
   static constexpr std::size_t kBytes = 5;
 
+  /// Appends the kBytes-byte encoding to `out`.
+  void append_to(std::vector<std::uint8_t>& out) const;
+
+  /// The encoding as a vector of its own (tests, benches).
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] static std::optional<RoutingBeacon> decode(
       std::span<const std::uint8_t> bytes);
@@ -51,24 +55,21 @@ struct DataHeader {
 
   static constexpr std::size_t kBytes = 7;
 
+  /// Appends the header and then `app_payload` to `out`.
+  /// `app_payload` must not alias `out`.
+  void append_to(std::vector<std::uint8_t>& out,
+                 std::span<const std::uint8_t> app_payload) const;
+
+  /// The packet as a vector of its own (tests, benches).
   [[nodiscard]] std::vector<std::uint8_t> encode(
       std::span<const std::uint8_t> app_payload) const;
 };
 
-/// Result of parsing a data packet: its header plus the app payload.
-struct DecodedData {
-  DataHeader header;
-  std::vector<std::uint8_t> app_payload;
-};
-
-[[nodiscard]] std::optional<DecodedData> decode_data(
-    std::span<const std::uint8_t> bytes);
-
-/// Zero-copy parse of a data packet: the payload stays a span into the
-/// caller's buffer (valid only for the current delivery call). The
-/// receive path uses this so snoops, duplicates and drops never copy the
-/// payload; only a packet that actually enters the forwarding queue gets
-/// its bytes owned.
+/// Parse of a data packet: the payload stays a span into the caller's
+/// buffer (valid only for the current delivery call). The receive path
+/// uses this so snoops, duplicates and drops never copy the payload;
+/// only a packet that actually enters the forwarding queue gets its
+/// bytes owned.
 struct DataView {
   DataHeader header;
   std::span<const std::uint8_t> app_payload;

@@ -105,7 +105,9 @@ void RoutingEngine::send_beacon() {
   b.path_etx = path_etx();
   b.pull = !has_route();
   ++beacons_sent_;
-  beacon_sender_(b.encode());
+  beacon_buf_.clear();
+  b.append_to(beacon_buf_);
+  beacon_sender_(beacon_buf_);
 }
 
 double RoutingEngine::path_etx() const {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -37,8 +38,8 @@ namespace fourbit::net {
 class RoutingEngine final : public link::CompareProvider {
  public:
   /// Hands a routing-beacon payload to the node glue for wrapping and
-  /// broadcast.
-  using BeaconSender = std::function<void(std::vector<std::uint8_t>)>;
+  /// broadcast. The span is valid only for the call.
+  using BeaconSender = std::function<void(std::span<const std::uint8_t>)>;
 
   /// `metrics` (optional) receives route-availability transitions for
   /// the recovery metrics (time-to-first-route, time-to-reroute).
@@ -205,6 +206,7 @@ class RoutingEngine final : public link::CompareProvider {
   sim::Rng rng_;
   stats::Metrics* metrics_;
   BeaconSender beacon_sender_;
+  std::vector<std::uint8_t> beacon_buf_;  // reused RoutingBeacon encoding
 
   std::vector<HeldRoute> routes_;
   // Open-addressed NodeId -> routes_ position map: linear probing from a

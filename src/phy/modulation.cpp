@@ -44,6 +44,9 @@ OqpskModulation::OqpskModulation() {
     const double snr = kMinSnrDb + static_cast<double>(i) * kStepDb;
     table_.push_back(exact_bit_error_rate(snr));
   }
+  // Full size up front: a frame size first seen late in a run must not
+  // allocate on the receive path.
+  floor_prr_.reserve(kFloorMemoCap);
 }
 
 double OqpskModulation::bit_error_rate(double sinr_db) const {

@@ -280,7 +280,10 @@ std::int64_t EventQueue::target_width() const {
 
 void EventQueue::cal_rebuild(std::uint64_t new_buckets,
                              std::int64_t new_width) {
-  std::vector<std::uint32_t> live;  // rebuilds are rare; a local is fine
+  // A member, so a queue whose load swings between two sizes rebuilds
+  // without allocating once its buffers have grown.
+  std::vector<std::uint32_t>& live = rebuild_scratch_;
+  live.clear();
   live.reserve(live_);
   std::int64_t min_us = 0;
   std::int64_t max_us = 0;

@@ -164,6 +164,7 @@ class EventQueue {
 
   // Calendar state.
   std::vector<Bucket> buckets_;
+  std::vector<std::uint32_t> rebuild_scratch_;  // cal_rebuild's live list
   std::uint64_t bucket_count_ = 0;
   std::uint64_t mask_ = 0;
   std::int64_t width_us_ = 1;

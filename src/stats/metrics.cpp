@@ -27,11 +27,23 @@ void Metrics::on_delivered(NodeId origin, std::uint16_t seq) {
   // Duplicates at the sink (same origin, same seq epoch) count once.
   PerOrigin& po = origins_[origin];
   const std::uint64_t expanded = po.expand_seq(seq);
-  if (!po.delivered_seqs.insert(expanded).second) return;
+  if (!po.mark_delivered(expanded)) return;
   // The expanded seq IS the packet's generation index at its origin.
   if (expanded < po.gen_phase.size()) {
     delivered_by_phase_[po.gen_phase[expanded]] += 1;
   }
+}
+
+bool Metrics::PerOrigin::mark_delivered(std::uint64_t expanded) {
+  const std::size_t word = static_cast<std::size_t>(expanded >> 6);
+  const std::uint64_t bit = std::uint64_t{1} << (expanded & 63);
+  // Growth goes through the vector's geometric capacity, so the log
+  // allocates once per doubling, not once per delivery.
+  if (word >= delivered_bits.size()) delivered_bits.resize(word + 1);
+  if ((delivered_bits[word] & bit) != 0) return false;
+  delivered_bits[word] |= bit;
+  ++delivered;
+  return true;
 }
 
 std::uint64_t Metrics::PerOrigin::expand_seq(std::uint16_t seq) {
@@ -80,7 +92,7 @@ std::uint64_t Metrics::generated_total() const {
 
 std::uint64_t Metrics::delivered_unique_total() const {
   std::uint64_t total = 0;
-  for (const auto& [node, po] : origins_) total += po.delivered_seqs.size();
+  for (const auto& [node, po] : origins_) total += po.delivered;
   return total;
 }
 
@@ -103,7 +115,7 @@ std::vector<double> Metrics::per_node_delivery() const {
   out.reserve(origins_.size());
   for (const auto& [node, po] : origins_) {
     if (po.generated == 0) continue;
-    out.push_back(static_cast<double>(po.delivered_seqs.size()) /
+    out.push_back(static_cast<double>(po.delivered) /
                   static_cast<double>(po.generated));
   }
   return out;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -156,12 +155,16 @@ class Metrics {
     // set of uint16_t would collide across epochs and silently undercount
     // delivery on long runs. Instead each delivered seq is widened to a
     // 64-bit value near the highest expanded seq seen so far (tolerant of
-    // reordering/late retransmissions within +-32768) and deduped on that.
-    std::unordered_set<std::uint64_t> delivered_seqs;
+    // reordering/late retransmissions within +-32768) and deduped on that,
+    // in a bitset indexed by the expanded seq (bit i of word i / 64).
+    std::vector<std::uint64_t> delivered_bits;
+    std::uint64_t delivered = 0;  // bits set
     std::uint64_t highest_expanded = 0;
     bool has_delivered = false;
 
     [[nodiscard]] std::uint64_t expand_seq(std::uint16_t seq);
+    /// Sets the bit of `expanded`; false if it was already set.
+    bool mark_delivered(std::uint64_t expanded);
   };
 
   struct Recovery {

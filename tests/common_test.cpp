@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <limits>
 #include <random>
 #include <span>
@@ -11,6 +13,7 @@
 #include "common/crc16.hpp"
 #include "common/ids.hpp"
 #include "common/ring_window.hpp"
+#include "common/slot_queue.hpp"
 #include "common/units.hpp"
 
 namespace fourbit {
@@ -273,6 +276,53 @@ TEST(EwmaTest, StaysWithinSampleRange) {
     EXPECT_GE(e.value(), 0.0);
     EXPECT_LE(e.value(), 1.0);
   }
+}
+
+
+// ---- SlotQueue -------------------------------------------------------------
+
+TEST(SlotQueueTest, MatchesDequeOverRandomPushesAndPops) {
+  // Records are byte buffers, as in the MAC queues. Runs of pushes grow
+  // the ring while its head sits anywhere; the queue must pop exactly
+  // what a deque pops, in order.
+  SlotQueue<std::vector<std::uint8_t>> queue;
+  std::deque<std::vector<std::uint8_t>> oracle;
+  std::mt19937 rng{7};
+  std::uint8_t next = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const unsigned push_percent = step % 2000 < 1000 ? 60 : 40;
+    const bool push = oracle.empty() || rng() % 100 < push_percent;
+    if (push) {
+      std::vector<std::uint8_t> record(rng() % 40, next++);
+      auto& slot = queue.push_back();
+      slot.assign(record.begin(), record.end());
+      oracle.push_back(std::move(record));
+    } else {
+      ASSERT_EQ(queue.front(), oracle.front()) << "step " << step;
+      queue.pop_front();
+      oracle.pop_front();
+    }
+    ASSERT_EQ(queue.size(), oracle.size());
+    ASSERT_EQ(queue.empty(), oracle.empty());
+  }
+  queue.clear();
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(SlotQueueTest, PoppedSlotKeepsItsStorage) {
+  // A queue that stays within its depth reuses its slots' buffers.
+  SlotQueue<std::vector<std::uint8_t>> queue;
+  queue.push_back().assign(64, 1);
+  const std::uint8_t* storage = queue.front().data();
+  queue.pop_front();
+  for (int i = 0; i < 3; ++i) {
+    queue.push_back().assign(8, 2);
+    queue.pop_front();
+  }
+  // Four slots: the fifth push is back in the first one.
+  auto& reused = queue.push_back();
+  EXPECT_EQ(reused.data(), storage);
+  EXPECT_GE(reused.capacity(), 64u);
 }
 
 }  // namespace

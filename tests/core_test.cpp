@@ -86,8 +86,8 @@ TEST(FourBitTest, Figure5HybridTrace) {
 TEST(FourBitTest, WrapBeaconPrependsIncrementingSeq) {
   FourBitEstimator est{FourBitConfig{}, sim::Rng{1}};
   const std::vector<std::uint8_t> payload{9, 8, 7};
-  const auto b0 = est.wrap_beacon(payload);
-  const auto b1 = est.wrap_beacon(payload);
+  const auto b0 = link::wrapped_beacon(est, payload);
+  const auto b1 = link::wrapped_beacon(est, payload);
   ASSERT_EQ(b0.size(), 4u);
   EXPECT_EQ(b1[0], static_cast<std::uint8_t>(b0[0] + 1));
   EXPECT_EQ(b0[1], 9);
@@ -98,10 +98,10 @@ TEST(FourBitTest, UnwrapReturnsEmbeddedPayload) {
   FourBitEstimator tx{FourBitConfig{}, sim::Rng{1}};
   FourBitEstimator rx{FourBitConfig{}, sim::Rng{2}};
   const std::vector<std::uint8_t> payload{1, 2, 3};
-  const auto wire = tx.wrap_beacon(payload);
+  const auto wire = link::wrapped_beacon(tx, payload);
   const auto out = rx.unwrap_beacon(NodeId{5}, wire, white_info());
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, payload);
+  EXPECT_EQ(std::vector<std::uint8_t>(out->begin(), out->end()), payload);
 }
 
 TEST(FourBitTest, UnwrapEmptyIsMalformed) {
@@ -427,12 +427,12 @@ TEST(FourBitTest, ResetWipesTableAndRestartsSequence) {
   FourBitEstimator est{FourBitConfig{}, sim::Rng{1}};
   beacon(est, NodeId{1}, 0);
   EXPECT_TRUE(est.pin(NodeId{1}));
-  const auto before = est.wrap_beacon({});
+  const auto before = link::wrapped_beacon(est, {});
   est.reset();
   EXPECT_EQ(est.table_size(), 0u);
   EXPECT_TRUE(est.neighbors().empty());
   // The beacon sequence restarts from scratch, like a real reboot.
-  const auto after = est.wrap_beacon({});
+  const auto after = link::wrapped_beacon(est, {});
   EXPECT_EQ(after[0], before[0]);
 }
 

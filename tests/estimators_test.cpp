@@ -27,10 +27,10 @@ TEST(BroadcastEtxTest, BeaconRoundTripCarriesPayload) {
   BroadcastEtxEstimator a{NodeId{1}, BroadcastEtxConfig{}, sim::Rng{1}};
   BroadcastEtxEstimator b{NodeId{2}, BroadcastEtxConfig{}, sim::Rng{2}};
   const std::vector<std::uint8_t> payload{5, 6, 7};
-  const auto wire = a.wrap_beacon(payload);
+  const auto wire = link::wrapped_beacon(a, payload);
   const auto out = b.unwrap_beacon(NodeId{1}, wire, info());
   ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(*out, payload);
+  EXPECT_EQ(std::vector<std::uint8_t>(out->begin(), out->end()), payload);
 }
 
 TEST(BroadcastEtxTest, EtxRequiresBothDirections) {
@@ -39,7 +39,7 @@ TEST(BroadcastEtxTest, EtxRequiresBothDirections) {
   BroadcastEtxEstimator b{NodeId{2}, BroadcastEtxConfig{}, sim::Rng{2}};
   const std::vector<std::uint8_t> payload;
   for (int i = 0; i < 6; ++i) {
-    (void)b.unwrap_beacon(NodeId{1}, a.wrap_beacon(payload), info());
+    (void)b.unwrap_beacon(NodeId{1}, link::wrapped_beacon(a, payload), info());
   }
   EXPECT_TRUE(b.inbound_quality(NodeId{1}).has_value());
   EXPECT_FALSE(b.reverse_quality(NodeId{1}).has_value());
@@ -53,8 +53,8 @@ TEST(BroadcastEtxTest, BidirectionalExchangeYieldsEtx) {
   const std::vector<std::uint8_t> payload;
   // Full exchange: each hears every beacon of the other.
   for (int i = 0; i < 8; ++i) {
-    (void)b.unwrap_beacon(NodeId{1}, a.wrap_beacon(payload), info());
-    (void)a.unwrap_beacon(NodeId{2}, b.wrap_beacon(payload), info());
+    (void)b.unwrap_beacon(NodeId{1}, link::wrapped_beacon(a, payload), info());
+    (void)a.unwrap_beacon(NodeId{2}, link::wrapped_beacon(b, payload), info());
   }
   ASSERT_TRUE(b.etx(NodeId{1}).has_value());
   // Perfect exchange in both directions: ETX ~ 1.
@@ -70,11 +70,11 @@ TEST(BroadcastEtxTest, LossyDirectionRaisesEtx) {
   // b hears only every second beacon of a (inbound PRR 0.5); a hears all
   // of b's.
   for (int i = 0; i < 60; ++i) {
-    const auto wire = a.wrap_beacon(payload);
+    const auto wire = link::wrapped_beacon(a, payload);
     if (i % 2 == 0) {
       (void)b.unwrap_beacon(NodeId{1}, wire, info());
     }
-    (void)a.unwrap_beacon(NodeId{2}, b.wrap_beacon(payload), info());
+    (void)a.unwrap_beacon(NodeId{2}, link::wrapped_beacon(b, payload), info());
   }
   ASSERT_TRUE(b.etx(NodeId{1}).has_value());
   // fwd (a->b) ~0.5 measured at b; rev (b->a) ~1.0 reported by a.
@@ -86,8 +86,8 @@ TEST(BroadcastEtxTest, AckBitIsIgnored) {
   const std::vector<std::uint8_t> payload;
   BroadcastEtxEstimator b{NodeId{2}, BroadcastEtxConfig{}, sim::Rng{2}};
   for (int i = 0; i < 8; ++i) {
-    (void)b.unwrap_beacon(NodeId{1}, a.wrap_beacon(payload), info());
-    (void)a.unwrap_beacon(NodeId{2}, b.wrap_beacon(payload), info());
+    (void)b.unwrap_beacon(NodeId{1}, link::wrapped_beacon(a, payload), info());
+    (void)a.unwrap_beacon(NodeId{2}, link::wrapped_beacon(b, payload), info());
   }
   const double before = b.etx(NodeId{1}).value();
   for (int i = 0; i < 50; ++i) b.on_unicast_result(NodeId{1}, false);
@@ -109,11 +109,12 @@ TEST(BroadcastEtxTest, FooterRotationEventuallyReportsEveryone) {
   const std::vector<std::uint8_t> payload;
   for (int round = 0; round < 8; ++round) {
     for (std::uint16_t i = 1; i <= 10; ++i) {
-      (void)hub.unwrap_beacon(NodeId{i},
-                              neighbors[i - 1]->wrap_beacon(payload), info());
+      (void)hub.unwrap_beacon(
+          NodeId{i}, link::wrapped_beacon(*neighbors[i - 1], payload),
+          info());
     }
     // Hub beacons; with footer_max=3 it takes ~4 beacons to cover all 10.
-    const auto wire = hub.wrap_beacon(payload);
+    const auto wire = link::wrapped_beacon(hub, payload);
     for (std::uint16_t i = 1; i <= 10; ++i) {
       (void)neighbors[i - 1]->unwrap_beacon(NodeId{100}, wire, info());
     }
@@ -137,7 +138,8 @@ TEST(BroadcastEtxTest, TableLimitCapsTrackedNeighbors) {
   BroadcastEtxEstimator peer{NodeId{1}, cfg, sim::Rng{9}};
   for (std::uint16_t i = 1; i <= 20; ++i) {
     BroadcastEtxEstimator sender{NodeId{i}, cfg, sim::Rng{i}};
-    (void)e.unwrap_beacon(NodeId{i}, sender.wrap_beacon(payload), info());
+    (void)e.unwrap_beacon(NodeId{i}, link::wrapped_beacon(sender, payload),
+                          info());
   }
   EXPECT_EQ(e.table_size(), 4u);
 }
@@ -149,7 +151,8 @@ TEST(BroadcastEtxTest, UnboundedTableTracksEveryone) {
   const std::vector<std::uint8_t> payload;
   for (std::uint16_t i = 1; i <= 50; ++i) {
     BroadcastEtxEstimator sender{NodeId{i}, cfg, sim::Rng{i}};
-    (void)e.unwrap_beacon(NodeId{i}, sender.wrap_beacon(payload), info());
+    (void)e.unwrap_beacon(NodeId{i}, link::wrapped_beacon(sender, payload),
+                          info());
   }
   EXPECT_EQ(e.table_size(), 50u);
 }
@@ -168,11 +171,11 @@ TEST(BroadcastEtxTest, PinProtectsEntry) {
   BroadcastEtxEstimator e{NodeId{0}, cfg, sim::Rng{1}};
   const std::vector<std::uint8_t> payload;
   BroadcastEtxEstimator s1{NodeId{1}, cfg, sim::Rng{11}};
-  (void)e.unwrap_beacon(NodeId{1}, s1.wrap_beacon(payload), info());
+  (void)e.unwrap_beacon(NodeId{1}, link::wrapped_beacon(s1, payload), info());
   EXPECT_TRUE(e.pin(NodeId{1}));
   for (std::uint16_t i = 2; i <= 30; ++i) {
     BroadcastEtxEstimator s{NodeId{i}, cfg, sim::Rng{i}};
-    (void)e.unwrap_beacon(NodeId{i}, s.wrap_beacon(payload), info());
+    (void)e.unwrap_beacon(NodeId{i}, link::wrapped_beacon(s, payload), info());
   }
   const auto n = e.neighbors();
   EXPECT_NE(std::find(n.begin(), n.end(), NodeId{1}), n.end());
@@ -335,13 +338,14 @@ void drive_and_check(const MakeEstimator& make,
     const auto op = rng.uniform_int(100);
     Input input = Input::kNone;
     if (op < 45) {
-      const auto wire = peers[p]->wrap_beacon(payload);
+      const auto wire = link::wrapped_beacon(*peers[p], payload);
       if (rng.bernoulli(0.8)) {
         (void)self->unwrap_beacon(peer, wire, phy);
         input = Input::kBeacon;
       }
     } else if (op < 60) {
-      (void)peers[p]->unwrap_beacon(NodeId{0}, self->wrap_beacon(payload),
+      (void)peers[p]->unwrap_beacon(NodeId{0},
+                                    link::wrapped_beacon(*self, payload),
                                     phy);
       input = Input::kOwnBeaconHeard;
     } else if (op < 75) {

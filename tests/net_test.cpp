@@ -8,17 +8,37 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <functional>
+#include <initializer_list>
+#include <memory>
 #include <cstdlib>
 #include <deque>
 #include <map>
 #include <new>
+#include <numeric>
 #include <optional>
+#include <set>
+#include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "app/traffic.hpp"
+#include "common/byte_io.hpp"
 #include "core/four_bit_estimator.hpp"
+#include "estimators/broadcast_etx.hpp"
+#include "estimators/lqi_estimator.hpp"
+#include "mac/csma.hpp"
+#include "mac/lpl.hpp"
+#include "phy/channel.hpp"
+#include "phy/interference.hpp"
+#include "phy/radio.hpp"
+#include "runner/network.hpp"
+#include "runner/profile.hpp"
+#include "topology/topology.hpp"
 #include "link/neighbor_table.hpp"
 #include "net/config.hpp"
 #include "net/forwarding_engine.hpp"
@@ -121,18 +141,97 @@ TEST(PacketsTest, DataHeaderRoundTrip) {
   h.thl = 7;
   h.sender_path_etx = 12.5;
   const std::vector<std::uint8_t> payload{9, 9, 9};
-  const auto decoded = decode_data(h.encode(payload));
+  const auto bytes = h.encode(payload);
+  const auto decoded = decode_data_view(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header.origin, NodeId{300});
   EXPECT_EQ(decoded->header.seq, 4242);
   EXPECT_EQ(decoded->header.thl, 7);
   EXPECT_DOUBLE_EQ(decoded->header.sender_path_etx, 12.5);
-  EXPECT_EQ(decoded->app_payload, payload);
+  EXPECT_TRUE(std::ranges::equal(decoded->app_payload, payload));
 }
 
 TEST(PacketsTest, DataHeaderTruncatedRejected) {
   const std::vector<std::uint8_t> bytes{1, 2, 3};
-  EXPECT_FALSE(decode_data(bytes).has_value());
+  EXPECT_FALSE(decode_data_view(bytes).has_value());
+}
+
+TEST(PacketsTest, EncodersAppendAfterExistingBytes) {
+  // The stack encodes into buffers that already hold a prefix (the
+  // dispatch byte) or old bytes; each encoder appends exactly its own
+  // encoding and leaves the prefix alone.
+  RoutingBeacon b;
+  b.parent = NodeId{0x1234};
+  b.path_etx = 2.5;
+  b.pull = true;
+  std::vector<std::uint8_t> out{0xAA, 0xBB};
+  b.append_to(out);
+  const std::vector<std::uint8_t> beacon{0x01, 0x12, 0x34, 0x00, 0x28};
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0xAA, 0xBB, 0x01, 0x12, 0x34,
+                                            0x00, 0x28}));
+  EXPECT_EQ(b.encode(), beacon);
+
+  DataHeader h;
+  h.origin = NodeId{0x0102};
+  h.seq = 0x0304;
+  h.thl = 5;
+  h.sender_path_etx = 1.0;
+  const std::vector<std::uint8_t> app{9, 8};
+  out.assign({0xCC});
+  h.append_to(out, app);
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0xCC, 0x01, 0x02, 0x03, 0x04,
+                                            0x05, 0x00, 0x10, 9, 8}));
+  EXPECT_EQ(std::vector<std::uint8_t>(out.begin() + 1, out.end()),
+            h.encode(app));
+}
+
+// ---- DupCache oracle -----------------------------------------------------
+
+/// The deque-plus-set cache the flat ring replaced: the reference for
+/// which keys are remembered.
+class DequeDupCache {
+ public:
+  explicit DequeDupCache(std::size_t capacity) : capacity_(capacity) {}
+  bool check_and_insert(NodeId origin, std::uint16_t seq) {
+    const std::uint32_t key =
+        static_cast<std::uint32_t>(origin.value()) << 16 | seq;
+    if (set_.contains(key)) return true;
+    if (fifo_.size() >= capacity_ && !fifo_.empty()) {
+      set_.erase(fifo_.front());
+      fifo_.pop_front();
+    }
+    fifo_.push_back(key);
+    set_.insert(key);
+    return false;
+  }
+  [[nodiscard]] std::size_t size() const { return fifo_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::deque<std::uint32_t> fifo_;
+  std::set<std::uint32_t> set_;
+};
+
+TEST(DupCacheTest, MatchesDequeSetOracle) {
+  // Keys drawn from a small space so hits, misses and evictions of
+  // keys that come back all happen often; capacity 0 included.
+  for (const std::size_t capacity : {0u, 1u, 2u, 7u, 64u}) {
+    DupCache cache{capacity};
+    DequeDupCache oracle{capacity};
+    sim::Rng rng{capacity + 1};
+    for (int step = 0; step < 20000; ++step) {
+      const NodeId origin{static_cast<std::uint16_t>(rng.uniform_int(4))};
+      const auto seq =
+          static_cast<std::uint16_t>(rng.uniform_int(3 * capacity + 5));
+      ASSERT_EQ(cache.check_and_insert(origin, seq),
+                oracle.check_and_insert(origin, seq))
+          << "capacity " << capacity << " step " << step;
+      ASSERT_EQ(cache.size(), oracle.size());
+    }
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_FALSE(cache.check_and_insert(NodeId{1}, 1));
+  }
 }
 
 // ---- DupCache -----------------------------------------------------------------
@@ -171,14 +270,14 @@ class FakeEstimator final : public link::LinkEstimator {
   }
   [[nodiscard]] bool tracks(NodeId n) const { return etx_map_.contains(n); }
 
-  std::vector<std::uint8_t> wrap_beacon(
-      std::span<const std::uint8_t> p) override {
-    return {p.begin(), p.end()};
+  void wrap_beacon(std::span<const std::uint8_t> p,
+                   std::vector<std::uint8_t>& out) override {
+    out.insert(out.end(), p.begin(), p.end());
   }
-  std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+  std::optional<std::span<const std::uint8_t>> unwrap_beacon(
       NodeId, std::span<const std::uint8_t> bytes,
       const link::PacketPhyInfo&) override {
-    return std::vector<std::uint8_t>{bytes.begin(), bytes.end()};
+    return bytes;
   }
   void on_unicast_result(NodeId to, bool acked) override {
     ack_reports.emplace_back(to, acked);
@@ -234,8 +333,8 @@ class RoutingFixture : public ::testing::Test {
       : routing_(sim_, NodeId{10}, false, estimator_, CollectionConfig{},
                  sim::Rng{1}) {
     routing_.set_beacon_sender(
-        [this](std::vector<std::uint8_t> payload) {
-          sent_beacons_.push_back(std::move(payload));
+        [this](std::span<const std::uint8_t> payload) {
+          sent_beacons_.emplace_back(payload.begin(), payload.end());
         });
     routing_.start();
   }
@@ -489,7 +588,7 @@ TEST(RoutingEvictionTest, EvictionUnpinsCountsRefusalAndReportsLoss) {
   stats::Metrics metrics;
   RoutingEngine routing{sim,     NodeId{10},  false,       est,
                         CollectionConfig{}, sim::Rng{1}, &metrics};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   est.set_etx(NodeId{1}, 1.0);
   routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
@@ -515,7 +614,7 @@ TEST(RoutingEvictionTest, EvictionDisabledKeepsDeadParent) {
   CollectionConfig config;
   config.parent_evict_failures = 0;
   RoutingEngine routing{sim, NodeId{10}, false, est, config, sim::Rng{1}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   est.set_etx(NodeId{1}, 1.0);
   routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
@@ -531,7 +630,7 @@ double ten_link_cost(std::uint16_t n) { return 1.0 + 0.5 * n; }
 /// plus 4 route-only neighbors (14 routes), with parent 1. Node n
 /// advertises ten_link_cost(n).
 void warm_ten_links(core::FourBitEstimator& est, RoutingEngine& routing) {
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   for (std::uint8_t seq = 0; seq < 3; ++seq) {
     for (std::uint16_t n = 1; n <= 10; ++n) {
@@ -738,7 +837,7 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableChurn) {
   const NodeId self{10};
   const CollectionConfig config;
   RoutingEngine routing{sim, self, false, est, config, sim::Rng{32}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   const RouteOracle oracle{sim, routing, est, self, config};
 
@@ -844,7 +943,7 @@ TEST(RoutingHintTest, MatchesLinearLookupOracleThroughTableReorders) {
   const NodeId self{50};
   const CollectionConfig config;
   RoutingEngine routing{sim, self, false, est, config, sim::Rng{52}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   const RouteOracle oracle{sim, routing, est, self, config};
 
@@ -908,7 +1007,7 @@ TEST(RoutingTrimTest, SnoopedRoutesOutsideTheTableLastUntilATrim) {
   FakeEstimator est;
   RoutingEngine routing{sim, NodeId{10}, false, est, CollectionConfig{},
                         sim::Rng{1}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   const auto beacon_of_1 = [&] {
     routing.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 3.0));
@@ -974,7 +1073,7 @@ TEST(RoutingSkipTest, SkippedPassesMatchOracle) {
   const NodeId self{10};
   const CollectionConfig config;
   RoutingEngine routing{sim, self, false, est, config, sim::Rng{42}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   sim::Time timer_origin = sim.now();  // the route timer's phase
   const RouteOracle oracle{sim, routing, est, self, config};
@@ -1108,25 +1207,23 @@ class ForwardingFixture : public ::testing::Test {
       : routing_(sim_, NodeId{10}, false, estimator_, config_, sim::Rng{1}),
         forwarding_(sim_, NodeId{10}, routing_, estimator_, config_,
                     &metrics_, sim::Rng{2}) {
-    routing_.set_beacon_sender([](std::vector<std::uint8_t>) {});
+    routing_.set_beacon_sender([](std::span<const std::uint8_t>) {});
     routing_.start();
     forwarding_.set_data_sender(
-        [this](NodeId dst, std::vector<std::uint8_t> payload,
-               std::function<void(bool)> done) {
-          sends_.push_back({dst, std::move(payload)});
-          pending_done_.push_back(std::move(done));
+        [this](NodeId dst, std::span<const std::uint8_t> packet) {
+          sends_.push_back({dst, {packet.begin(), packet.end()}});
+          ++outstanding_;
         });
     // Give the node a route: parent 1 with cost 1.
     estimator_.set_etx(NodeId{1}, 1.0);
     routing_.on_beacon(NodeId{1}, beacon_from(NodeId{99}, 0.0));
   }
 
-  /// Completes the oldest outstanding MAC send with the given ack result.
+  /// Completes the outstanding MAC send with the given ack result.
   void complete(bool acked) {
-    ASSERT_FALSE(pending_done_.empty());
-    auto done = std::move(pending_done_.front());
-    pending_done_.pop_front();
-    done(acked);
+    ASSERT_GT(outstanding_, 0);
+    --outstanding_;
+    forwarding_.on_send_done(acked);
   }
 
   struct Sent {
@@ -1141,7 +1238,7 @@ class ForwardingFixture : public ::testing::Test {
   RoutingEngine routing_;
   ForwardingEngine forwarding_;
   std::vector<Sent> sends_;
-  std::deque<std::function<void(bool)>> pending_done_;
+  int outstanding_ = 0;  // sends not yet completed
 };
 
 TEST_F(ForwardingFixture, OriginatesTowardParent) {
@@ -1149,11 +1246,11 @@ TEST_F(ForwardingFixture, OriginatesTowardParent) {
   EXPECT_TRUE(forwarding_.send(app));
   ASSERT_EQ(sends_.size(), 1u);
   EXPECT_EQ(sends_[0].dst, NodeId{1});
-  const auto decoded = decode_data(sends_[0].payload);
+  const auto decoded = decode_data_view(sends_[0].payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->header.origin, NodeId{10});
   EXPECT_EQ(decoded->header.thl, 0);
-  EXPECT_EQ(decoded->app_payload, app);
+  EXPECT_TRUE(std::ranges::equal(decoded->app_payload, app));
   EXPECT_EQ(metrics_.generated_total(), 1u);
 }
 
@@ -1178,7 +1275,7 @@ TEST_F(ForwardingFixture, RetransmitsUntilBudgetThenDrops) {
     complete(false);
     sim_.run_for(CollectionConfig{}.retx_delay + sim::Duration::from_ms(1));
   }
-  EXPECT_TRUE(pending_done_.empty()) << "packet must be dropped after budget";
+  EXPECT_EQ(outstanding_, 0) << "packet must be dropped after budget";
   EXPECT_EQ(metrics_.retx_drops(), 1u);
   EXPECT_EQ(forwarding_.queue_depth(), 0u);
 }
@@ -1246,7 +1343,7 @@ TEST_F(ForwardingFixture, ForwardsReceivedDataWithIncrementedThl) {
   forwarding_.on_data(NodeId{5}, h.encode(std::vector<std::uint8_t>{7}),
                       link::FixedPhyInfo{});
   ASSERT_EQ(sends_.size(), 1u);
-  const auto fwd = decode_data(sends_[0].payload);
+  const auto fwd = decode_data_view(sends_[0].payload);
   ASSERT_TRUE(fwd.has_value());
   EXPECT_EQ(fwd->header.origin, NodeId{5});
   EXPECT_EQ(fwd->header.thl, 4);
@@ -1320,6 +1417,332 @@ TEST_F(ForwardingFixture, RootOwnPacketsDeliverLocally) {
   EXPECT_TRUE(root_fwd.send(std::vector<std::uint8_t>{1}));
   EXPECT_EQ(sink_packets, 1);
 }
+
+
+// ---- the frame path: appending wraps -------------------------------------
+
+/// The BroadcastEtxEstimator::wrap_beacon that the in-place encoder
+/// replaced, which built its footer in a vector of pairs and returned a
+/// fresh vector: the reference for the in-place encoder. `entries` is the table in order,
+/// each with its inbound PRR if it has one; `rotation` is the footer
+/// rotation, advanced as the estimator advances its own.
+std::vector<std::uint8_t> parent_broadcast_etx_wrap(
+    std::uint8_t seq,
+    const std::vector<std::pair<NodeId, std::optional<double>>>& entries,
+    std::size_t footer_max, std::size_t& rotation,
+    std::span<const std::uint8_t> routing_payload) {
+  const auto quantize = [](double prr) {
+    return static_cast<std::uint8_t>(std::clamp(prr, 0.0, 1.0) * 255.0 + 0.5);
+  };
+  std::vector<std::uint8_t> out;
+  ByteWriter w{out};
+  w.u8(seq);
+  std::vector<std::pair<NodeId, std::uint8_t>> footer;
+  const std::size_t n = entries.size();
+  for (std::size_t i = 0; i < n && footer.size() < footer_max; ++i) {
+    const auto& [node, prr] = entries[(rotation + i) % n];
+    if (!prr.has_value()) continue;
+    footer.emplace_back(node, quantize(*prr));
+  }
+  if (n > 0) rotation = (rotation + footer_max) % n;
+  w.u8(static_cast<std::uint8_t>(footer.size()));
+  for (const auto& [node, q] : footer) {
+    w.u16(node.value());
+    w.u8(q);
+  }
+  w.bytes(routing_payload);
+  return out;
+}
+
+/// Wraps into a buffer that already holds `prefix` bytes of junk and
+/// returns what was appended, checking the prefix survived.
+std::vector<std::uint8_t> wrap_after_junk(link::LinkEstimator& est,
+                                          std::span<const std::uint8_t> payload,
+                                          std::size_t prefix,
+                                          sim::Rng& rng) {
+  std::vector<std::uint8_t> buf(prefix);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  const std::vector<std::uint8_t> junk = buf;
+  est.wrap_beacon(payload, buf);
+  EXPECT_TRUE(std::equal(junk.begin(), junk.end(), buf.begin()))
+      << "the wrap overwrote bytes in front of it";
+  return {buf.begin() + static_cast<std::ptrdiff_t>(prefix), buf.end()};
+}
+
+TEST(WrapOracleTest, BroadcastEtxFooterAppendsTheParentBytes) {
+  // A 12-entry table against a 5-entry footer, so the footer rotates
+  // through it, with table churn changing the rotation's modulus and
+  // lost beacons spreading the inbound qualities.
+  estimators::BroadcastEtxConfig cfg;
+  cfg.table_capacity = 12;
+  cfg.footer_max = 5;
+  cfg.insertion = core::InsertionPolicy::kProbabilistic;
+  cfg.probabilistic_insert_p = 1.0;
+  estimators::BroadcastEtxEstimator est{NodeId{100}, cfg, sim::Rng{1}};
+  std::vector<std::unique_ptr<estimators::BroadcastEtxEstimator>> peers;
+  for (std::uint16_t i = 1; i <= 16; ++i) {
+    peers.push_back(std::make_unique<estimators::BroadcastEtxEstimator>(
+        NodeId{i}, cfg, sim::Rng{i}));
+  }
+  sim::Rng rng{7};
+  std::uint8_t seq = 0;
+  std::size_t rotation = 0;
+  std::size_t max_table = 0;
+  std::size_t max_footer = 0;
+  const link::FixedPhyInfo phy{true, 100};
+  for (int step = 0; step < 3000; ++step) {
+    const auto op = rng.uniform_int(10);
+    if (op < 6) {
+      const auto i = rng.uniform_int(peers.size());
+      const auto wire = link::wrapped_beacon(*peers[i], {});
+      // Two of three beacons arrive: inbound qualities move off 1.0.
+      if (rng.uniform_int(3) != 0) {
+        (void)est.unwrap_beacon(NodeId{static_cast<std::uint16_t>(i + 1)},
+                                wire, phy);
+      }
+    } else if (op < 7) {
+      (void)est.remove(NodeId{static_cast<std::uint16_t>(
+          1 + rng.uniform_int(16))});
+    } else {
+      std::vector<std::pair<NodeId, std::optional<double>>> entries;
+      for (const NodeId n : est.neighbors()) {
+        entries.emplace_back(n, est.inbound_quality(n));
+      }
+      std::vector<std::uint8_t> payload(rng.uniform_int(8));
+      for (auto& b : payload) {
+        b = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+      const auto expected = parent_broadcast_etx_wrap(
+          seq++, entries, cfg.footer_max, rotation, payload);
+      const auto got = wrap_after_junk(est, payload, rng.uniform_int(6), rng);
+      ASSERT_EQ(got, expected) << "step " << step;
+      max_table = std::max(max_table, entries.size());
+      max_footer = std::max<std::size_t>(max_footer, got[1]);
+    }
+  }
+  EXPECT_EQ(max_table, cfg.table_capacity);
+  EXPECT_EQ(max_footer, cfg.footer_max);
+}
+
+TEST(WrapOracleTest, SequenceHeaderEstimatorsAppendSeqAndPayload) {
+  // 4B and MultiHopLQI frame a beacon as [seq][routing payload].
+  core::FourBitEstimator four_bit{core::FourBitConfig{}, sim::Rng{1}};
+  estimators::LqiEstimator lqi{estimators::LqiEstimatorConfig{}, sim::Rng{2}};
+  for (link::LinkEstimator* est :
+       std::initializer_list<link::LinkEstimator*>{&four_bit, &lqi}) {
+    sim::Rng rng{3};
+    for (int i = 0; i < 600; ++i) {  // past the 8-bit sequence wrap
+      std::vector<std::uint8_t> payload(rng.uniform_int(8));
+      for (auto& b : payload) {
+        b = static_cast<std::uint8_t>(rng.uniform_int(256));
+      }
+      std::vector<std::uint8_t> expected{static_cast<std::uint8_t>(i)};
+      expected.insert(expected.end(), payload.begin(), payload.end());
+      ASSERT_EQ(wrap_after_junk(*est, payload, rng.uniform_int(6), rng),
+                expected)
+          << "beacon " << i;
+    }
+  }
+}
+
+TEST(WrapOracleTest, UnwrapReturnsTheTailOfTheBytes) {
+  // The routing payload comes back as a view into the caller's bytes,
+  // not a copy.
+  core::FourBitEstimator four_bit{core::FourBitConfig{}, sim::Rng{1}};
+  estimators::LqiEstimator lqi{estimators::LqiEstimatorConfig{}, sim::Rng{2}};
+  estimators::BroadcastEtxEstimator etx{NodeId{9}, {}, sim::Rng{3}};
+  const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
+  for (link::LinkEstimator* est :
+       std::initializer_list<link::LinkEstimator*>{&four_bit, &lqi, &etx}) {
+    const auto wire = link::wrapped_beacon(*est, payload);
+    const auto out =
+        est->unwrap_beacon(NodeId{9}, wire, link::FixedPhyInfo{true, 100});
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->data(), wire.data() + (wire.size() - payload.size()));
+    EXPECT_TRUE(std::ranges::equal(*out, payload));
+  }
+}
+
+// ---- the frame path: sends from inside completions -----------------------
+
+/// Two radios 5 m apart on a quiet channel: a sender's MAC (CSMA, or LPL
+/// over it) and a receiver that records every payload it is handed.
+class ReentrantSendTest : public ::testing::TestWithParam<bool> {
+ protected:
+  ReentrantSendTest() {
+    phy::PropagationConfig prop;
+    prop.shadowing_sigma_db = 0.0;
+    prop.asymmetry_sigma_db = 0.0;
+    channel_ = std::make_unique<phy::Channel>(
+        sim_, phy::PhyConfig{}, prop,
+        std::make_unique<phy::NullInterference>(), sim::Rng{5});
+    for (std::uint16_t id : {1, 2}) {
+      radios_.push_back(std::make_unique<phy::Radio>(
+          *channel_, NodeId{id}, Position{5.0 * id, 0.0},
+          phy::HardwareProfile{}, PowerDbm{0.0}));
+      csma_.push_back(std::make_unique<mac::CsmaMac>(
+          sim_, *radios_.back(), mac::CsmaConfig{}, sim::Rng{id}));
+      if (GetParam()) {
+        mac::LplConfig lpl;
+        lpl.wake_interval = sim::Duration::from_ms(64);
+        lpl_.push_back(std::make_unique<mac::LplMac>(
+            sim_, *csma_.back(), lpl, sim::Rng{10u + id}));
+      }
+    }
+    mac(1).set_rx_handler([this](NodeId, std::uint8_t,
+                                 std::span<const std::uint8_t> payload,
+                                 const phy::RxInfo&) {
+      received_.emplace_back(payload.begin(), payload.end());
+    });
+  }
+
+  mac::Mac& mac(std::size_t i) {
+    if (GetParam()) return *lpl_[i];
+    return *csma_[i];
+  }
+
+  sim::Simulator sim_;
+  std::unique_ptr<phy::Channel> channel_;
+  std::vector<std::unique_ptr<phy::Radio>> radios_;
+  std::vector<std::unique_ptr<mac::CsmaMac>> csma_;
+  std::vector<std::unique_ptr<mac::LplMac>> lpl_;
+  std::vector<std::vector<std::uint8_t>> received_;
+};
+
+TEST_P(ReentrantSendTest, SendFromCompletionTransmitsIntactBytes) {
+  // The sender builds every frame in one buffer, as CollectionNode does,
+  // and overwrites it right after each send. Four frames go out back to
+  // back, then each completion sends the next frame, so the queue is
+  // full when a completion runs and the send it issues takes the slot
+  // just popped. Every frame must reach the receiver with the bytes it
+  // had at its own send, and every completion must run once, in order,
+  // with its own state intact after the send it issued.
+  constexpr int kFrames = 16;
+  std::vector<std::uint8_t> buffer;
+  std::vector<std::vector<std::uint8_t>> sent;
+  std::vector<int> completed;
+  int next = 0;
+  std::function<void()> send_next;
+  send_next = [&] {
+    const int k = next++;
+    buffer.assign(static_cast<std::size_t>(4 + k % 5),
+                  static_cast<std::uint8_t>(0x10 * (k % 15) + 1));
+    buffer[0] = static_cast<std::uint8_t>(k);
+    sent.push_back(buffer);
+    // `k` first, so it sits where a freed callback's storage is
+    // overwritten first.
+    mac(0).send(NodeId{2}, buffer,
+                [k, &next, &send_next, &completed](const mac::TxResult& r) {
+                  EXPECT_TRUE(r.acked);
+                  if (next < kFrames) send_next();
+                  completed.push_back(k);
+                });
+    std::fill(buffer.begin(), buffer.end(), std::uint8_t{0xEE});
+  };
+  for (int i = 0; i < 4; ++i) send_next();
+  sim_.run_for(sim::Duration::from_seconds(30.0));
+  EXPECT_EQ(next, kFrames);
+  EXPECT_EQ(received_, sent);
+  std::vector<int> in_order(kFrames);
+  std::iota(in_order.begin(), in_order.end(), 0);
+  EXPECT_EQ(completed, in_order);
+}
+
+INSTANTIATE_TEST_SUITE_P(CsmaAndLpl, ReentrantSendTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Lpl" : "Csma";
+                         });
+
+// ---- the frame path allocates nothing -------------------------------------
+
+/// Counts per-packet stack events off the telemetry stream (at kDebug).
+struct FrameEventCounter final : sim::TelemetrySink {
+  std::uint64_t beacon_tx = 0;
+  std::uint64_t beacon_rx = 0;
+  std::uint64_t data_ack = 0;
+  void on_event(const sim::TelemetryEvent& event) override {
+    switch (event.kind) {
+      case sim::EventKind::kBeaconTx: ++beacon_tx; break;
+      case sim::EventKind::kBeaconRx: ++beacon_rx; break;
+      case sim::EventKind::kDataAck: ++data_ack; break;
+      default: break;
+    }
+  }
+};
+
+using FramePathCase = std::tuple<runner::Profile, bool>;
+
+class FramePathAllocationTest
+    : public ::testing::TestWithParam<FramePathCase> {};
+
+TEST_P(FramePathAllocationTest, SteadyStateAllocatesNothing) {
+  // Three nodes on a quiet line, 30 m apart, with the 60 m link blacked
+  // out: the far node reaches the root only through the relay, and no
+  // node meets a new neighbor after the warm-up. Then two minutes of
+  // beacons sent and received, data originated, forwarded and acked
+  // must not touch the heap, with a real CollectionNode over a real
+  // CsmaMac (and LplMac) and each estimator.
+  const auto [profile, lpl] = GetParam();
+  topology::Testbed testbed;
+  testbed.topology = topology::line(3, 30.0);
+  auto& env = testbed.environment;
+  env.propagation.reference_loss = Decibels{37.0};
+  env.propagation.exponent = 4.0;
+  env.propagation.shadowing_sigma_db = 0.0;
+  env.propagation.asymmetry_sigma_db = 0.0;
+  env.hardware.tx_offset_sigma_db = 0.0;
+  env.hardware.noise_figure_sigma_db = 0.0;
+  env.burst_interference = false;
+
+  sim::Simulator sim;
+  FrameEventCounter events;
+  sim.telemetry().set_level(sim::TraceLevel::kDebug);
+  sim.telemetry().set_sink(&events);
+  runner::Network::Options options;
+  options.profile = profile;
+  options.seed = 3;
+  if (lpl) options.lpl_wake_interval = sim::Duration::from_ms(128);
+  runner::Network network{sim, testbed, std::move(options), nullptr};
+  const NodeId far = network.node(2).id();
+  network.channel().set_link_outage(network.node(0).id(), far, 1.0);
+  std::uint64_t far_delivered = 0;
+  network.node(network.root_index())
+      .set_sink_handler([&](const DataHeader& h,
+                            std::span<const std::uint8_t>) {
+        if (h.origin == far) ++far_delivered;
+      });
+  app::TrafficConfig traffic;
+  traffic.period = sim::Duration::from_seconds(2.0);
+  network.start(sim::Duration::from_seconds(5.0), traffic);
+  sim.run_for(sim::Duration::from_minutes(4.0));
+  ASSERT_EQ(network.node(2).routing().parent(), network.node(1).id());
+
+  const FrameEventCounter before = events;
+  const std::uint64_t far_before = far_delivered;
+  AllocationCounter counter;
+  sim.run_for(sim::Duration::from_minutes(2.0));
+  const std::size_t allocations = counter.stop();
+  sim.telemetry().set_sink(nullptr);
+
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(events.beacon_tx, before.beacon_tx);
+  EXPECT_GT(events.beacon_rx, before.beacon_rx);
+  EXPECT_GT(events.data_ack, before.data_ack);
+  EXPECT_GT(far_delivered, far_before + 20)
+      << "the far node's packets must be forwarded by the relay";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stacks, FramePathAllocationTest,
+    ::testing::Combine(::testing::Values(runner::Profile::kFourBit,
+                                         runner::Profile::kCtpT2,
+                                         runner::Profile::kMultihopLqi),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<FramePathCase>& info) {
+      std::string name{runner::profile_name(std::get<0>(info.param))};
+      std::erase_if(name, [](char c) { return std::isalnum(c) == 0; });
+      return name + (std::get<1>(info.param) ? "OverLpl" : "OverCsma");
+    });
 
 }  // namespace
 }  // namespace fourbit::net

@@ -85,14 +85,14 @@ TEST(FixedBeaconTest, BeaconsAtConstantRate) {
 
   class NullEstimator final : public link::LinkEstimator {
    public:
-    std::vector<std::uint8_t> wrap_beacon(
-        std::span<const std::uint8_t> p) override {
-      return {p.begin(), p.end()};
+    void wrap_beacon(std::span<const std::uint8_t> p,
+                     std::vector<std::uint8_t>& out) override {
+      out.insert(out.end(), p.begin(), p.end());
     }
-    std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+    std::optional<std::span<const std::uint8_t>> unwrap_beacon(
         NodeId, std::span<const std::uint8_t> b,
         const link::PacketPhyInfo&) override {
-      return std::vector<std::uint8_t>{b.begin(), b.end()};
+      return b;
     }
     void on_unicast_result(NodeId, bool) override {}
     bool pin(NodeId) override { return false; }
@@ -110,7 +110,7 @@ TEST(FixedBeaconTest, BeaconsAtConstantRate) {
   net::RoutingEngine routing{sim,  NodeId{1}, false,
                              estimator, cfg, sim::Rng{4}};
   int beacons = 0;
-  routing.set_beacon_sender([&](std::vector<std::uint8_t>) { ++beacons; });
+  routing.set_beacon_sender([&](std::span<const std::uint8_t>) { ++beacons; });
   routing.start();
   sim.run_for(sim::Duration::from_seconds(100.0));
   // ~10 beacons in 100 s at a 10 s interval (+-10% jitter).
@@ -126,14 +126,14 @@ TEST(SnoopRouteTest, OverheardCostEnablesRoute) {
   // version never has to move.
   class MapEstimator final : public link::LinkEstimator {
    public:
-    std::vector<std::uint8_t> wrap_beacon(
-        std::span<const std::uint8_t> p) override {
-      return {p.begin(), p.end()};
+    void wrap_beacon(std::span<const std::uint8_t> p,
+                     std::vector<std::uint8_t>& out) override {
+      out.insert(out.end(), p.begin(), p.end());
     }
-    std::optional<std::vector<std::uint8_t>> unwrap_beacon(
+    std::optional<std::span<const std::uint8_t>> unwrap_beacon(
         NodeId, std::span<const std::uint8_t> b,
         const link::PacketPhyInfo&) override {
-      return std::vector<std::uint8_t>{b.begin(), b.end()};
+      return b;
     }
     void on_unicast_result(NodeId, bool) override {}
     bool pin(NodeId) override { return true; }
@@ -150,7 +150,7 @@ TEST(SnoopRouteTest, OverheardCostEnablesRoute) {
 
   net::RoutingEngine routing{sim,       NodeId{1}, false,
                              estimator, net::CollectionConfig{}, sim::Rng{5}};
-  routing.set_beacon_sender([](std::vector<std::uint8_t>) {});
+  routing.set_beacon_sender([](std::span<const std::uint8_t>) {});
   routing.start();
   EXPECT_FALSE(routing.has_route());
   // Node 7 is in the estimator table; we never heard its beacon, but we

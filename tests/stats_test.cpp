@@ -1,9 +1,13 @@
 // Tests of the metrics/statistics module.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "stats/aggregate.hpp"
 #include "stats/metrics.hpp"
 #include "stats/summary.hpp"
@@ -125,6 +129,84 @@ TEST(MetricsTest, ReorderedDeliveryNearWrapBoundary) {
   m.on_delivered(NodeId{1}, 65534);  // duplicate of the late one
   EXPECT_EQ(m.delivered_unique_total(), 4u);
   EXPECT_DOUBLE_EQ(m.delivery_ratio(), 1.0);
+}
+
+/// The delivered-packet dedup the bitset replaced: each wire seq widened
+/// to the candidate (in the highest seq's epoch or a neighboring one)
+/// closest to the highest seen so far, then deduped in a std::set.
+class SetDedupOracle {
+ public:
+  bool deliver(std::uint16_t seq) {
+    std::uint64_t expanded = seq;
+    if (has_) {
+      const std::uint64_t epoch = highest_ >> 16;
+      const auto dist = [this](std::uint64_t c) {
+        return c > highest_ ? c - highest_ : highest_ - c;
+      };
+      expanded = (epoch << 16) | seq;
+      for (const int d : {-1, +1}) {
+        if (d < 0 && epoch == 0) continue;
+        const std::uint64_t c =
+            ((epoch + static_cast<std::uint64_t>(d)) << 16) | seq;
+        if (dist(c) < dist(expanded)) expanded = c;
+      }
+    }
+    has_ = true;
+    highest_ = std::max(highest_, expanded);
+    return delivered_.insert(expanded).second;
+  }
+  [[nodiscard]] std::size_t count() const { return delivered_.size(); }
+
+ private:
+  std::set<std::uint64_t> delivered_;
+  std::uint64_t highest_ = 0;
+  bool has_ = false;
+};
+
+TEST(MetricsTest, DeliveredDedupMatchesSetOracle) {
+  // Three origins each generate past two 16-bit epoch wraps. Packets
+  // arrive mostly in order, some are lost, some arrive twice (a lost
+  // ack's retransmission), and some arrive late by up to 32767 packets.
+  Metrics m;
+  std::vector<SetDedupOracle> oracles(3);
+  std::vector<std::uint64_t> generated(3, 0);
+  sim::Rng rng{11};
+  std::uint64_t expected_total = 0;
+  for (int step = 0; step < 450'000; ++step) {
+    const auto o = static_cast<std::size_t>(rng.uniform_int(3));
+    const NodeId origin{static_cast<std::uint16_t>(o + 1)};
+    const std::uint64_t index = generated[o]++;
+    m.on_generated(origin, static_cast<std::uint16_t>(index));
+    std::uint64_t deliver = index;
+    const auto op = rng.uniform_int(100);
+    if (op < 10) continue;  // lost
+    if (op < 15 && index > 0) {
+      // Late: an earlier packet, up to half the sequence space back.
+      deliver = index - 1 -
+                rng.uniform_int(std::min<std::uint64_t>(index, 32767));
+    }
+    const auto seq = static_cast<std::uint16_t>(deliver);
+    const int copies = op >= 95 ? 2 : 1;
+    for (int c = 0; c < copies; ++c) {
+      if (oracles[o].deliver(seq)) ++expected_total;
+      m.on_delivered(origin, seq);
+    }
+    if (step % 997 == 0) {
+      ASSERT_EQ(m.delivered_unique_total(), expected_total) << "step " << step;
+    }
+  }
+  EXPECT_EQ(m.delivered_unique_total(), expected_total);
+  EXPECT_GT(*std::min_element(generated.begin(), generated.end()),
+            2u * 65536u);
+  std::vector<double> want;
+  for (std::size_t o = 0; o < 3; ++o) {
+    want.push_back(static_cast<double>(oracles[o].count()) /
+                   static_cast<double>(generated[o]));
+  }
+  auto got = m.per_node_delivery();
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 // ---- five-number summary ------------------------------------------------------
